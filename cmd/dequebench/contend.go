@@ -18,21 +18,18 @@ import (
 )
 
 // The contend experiment measures the contention-engineered DCAS substrate
-// against the mutex-based emulation it replaced, on the workload where the
-// substrate matters most: a small array deque (capacity 64) hammered from
-// both ends by split-end workers, so every operation contends on one of the
-// two end indices.
+// against the general emulation, on the workload where the substrate
+// matters most: a small array deque (capacity 64) hammered from both ends
+// by split-end workers, so every operation contends on one of the two end
+// indices.
 //
-// Five configurations of the same array-deque algorithm are compared:
+// Three configurations of the same array-deque algorithm are compared:
 //
 //   - engineered: anchored in-word DCAS (dcas.EndLock — three locked
-//     read-modify-writes per DCAS) plus retry backoff — the substrate's
-//     top tier;
-//   - bitlock: bit-table DCAS (one CAS acquires both locations' lock
-//     bits; four locked RMWs) plus retry backoff;
-//   - twolock-spin: the default per-location spinlock emulation;
-//   - mutex-striped: the two-location locking discipline over sync.Mutex,
-//     i.e. the pre-spinlock substrate retained as the baseline;
+//     read-modify-writes per DCAS) plus retry backoff — the array
+//     deque's default substrate;
+//   - twolock-spin: the general per-location spinlock emulation
+//     (dcas.Default()), the baseline;
 //   - global-lock: one mutex for all DCAS, the coarse lower bound.
 //
 // Throughput is the median of several untimed trials; latency quantiles
@@ -71,20 +68,9 @@ func contendVariants() []contendVariant {
 				arraydeque.WithProvider(wrap(new(dcas.EndLock), st)),
 				arraydeque.WithBackoff(bo))
 		}},
-		{"bitlock", "bitlock", func(st *dcas.Stats) *arraydeque.Deque {
-			bo := dcas.DefaultBackoff()
-			bo.Stats = st
-			return arraydeque.New(contendCap,
-				arraydeque.WithProvider(wrap(new(dcas.BitLock), st)),
-				arraydeque.WithBackoff(bo))
-		}},
 		{"twolock-spin", "twolock", func(st *dcas.Stats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.TwoLock), st)))
-		}},
-		{"mutex-striped", "striped-mutex", func(st *dcas.Stats) *arraydeque.Deque {
-			return arraydeque.New(contendCap,
-				arraydeque.WithProvider(wrap(new(dcas.StripedMutex), st)))
 		}},
 		{"global-lock", "global-mutex", func(st *dcas.Stats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
@@ -232,7 +218,7 @@ func expContend(o io, ops int, workers []int) {
 	rep.Config.SplitEnds = true
 	rep.Config.Trials = contendTrials
 	rep.Config.Seed = contendSeed
-	rep.Config.Baseline = "mutex-striped"
+	rep.Config.Baseline = "twolock-spin"
 	rep.Env.GoVersion = runtime.Version()
 	rep.Env.GOOS = runtime.GOOS
 	rep.Env.GOARCH = runtime.GOARCH
@@ -287,7 +273,7 @@ func expContend(o io, ops int, workers []int) {
 			cell.BackoffYields = st.BackoffYields.Load()
 			rep.Cells = append(rep.Cells, *cell)
 			switch v.name {
-			case "mutex-striped":
+			case "twolock-spin":
 				baseline[w] = cell.OpsPerSec
 			case "engineered":
 				engineered[w] = cell.OpsPerSec
@@ -302,7 +288,7 @@ func expContend(o io, ops int, workers []int) {
 			}{w, engineered[w] / baseline[w]})
 		}
 	}
-	o.emit("CONTEND: engineered substrate vs mutex baseline (both ends, cap 64)", t)
+	o.emit("CONTEND: engineered substrate vs general emulation (both ends, cap 64)", t)
 	for _, s := range rep.Speedup {
 		fmt.Printf("speedup vs %s at %d workers: %.2fx\n",
 			rep.Config.Baseline, s.Workers, s.Speedup)

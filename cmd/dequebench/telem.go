@@ -44,7 +44,7 @@ func telemVariants() []telemVariant {
 			sink, st := telemetry.NewSink(), new(dcas.AttrStats)
 			d := arraydeque.New(telemCap,
 				arraydeque.WithTelemetry(sink),
-				arraydeque.WithProvider(dcas.InstrumentedAttr(dcas.Default(), st)))
+				arraydeque.WithProvider(dcas.InstrumentedAttr(new(dcas.EndLock), st)))
 			return d, sink, st
 		}},
 		{"list", "off", func() (workload.Deque, *telemetry.Sink, *dcas.AttrStats) {

@@ -28,17 +28,17 @@ func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var prov dcas.Provider
-	switch {
-	case cfg.globalLockDCAS:
+	var prov dcas.Provider // nil: the core's inlined EndLock default
+	if cfg.globalLockDCAS {
 		prov = new(dcas.GlobalLock)
-	case cfg.endLockDCAS:
-		prov = new(dcas.EndLock)
-	case cfg.bitLockDCAS:
-		prov = new(dcas.BitLock)
 	}
 	var inst *instruments
 	if cfg.telemetry {
+		if prov == nil {
+			// Counting DCAS attempts needs a wrapped provider, which the
+			// core drives through the generic (non-inlined) path.
+			prov = new(dcas.EndLock)
+		}
 		inst = newInstruments(cfg.telemetryName, cfg.latency)
 		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
 	}

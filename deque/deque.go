@@ -86,8 +86,6 @@ type Option func(*config)
 
 type config struct {
 	globalLockDCAS bool
-	bitLockDCAS    bool
-	endLockDCAS    bool
 	strongDCAS     bool
 	recheckIndex   bool
 	nodeReuse      bool
@@ -113,38 +111,13 @@ func defaultConfig() config {
 }
 
 // WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation
-// instead of the default fine-grained two-location emulation.  All DCAS
+// instead of the default one (the anchored in-word EndLock for the array
+// deque, the per-location TwoLock for the list deques).  All DCAS
 // operations on the deque then serialize; useful only for measurement.
+// It is the only provider knob; the defaults were chosen by measurement
+// (DESIGN.md §6).
 func WithGlobalLockDCAS() Option {
 	return func(c *config) { c.globalLockDCAS = true }
-}
-
-// WithBitLockDCAS selects the bit-table DCAS emulation: all locations
-// share a single 64-bit lock word and a DCAS acquires both of its
-// locations' bits in one CAS.  It halves the locked read-modify-write
-// operations per DCAS versus the default per-location spinlocks, which is
-// the dominant cost at low core counts, at the price of coarsening the
-// lock space to 64 bits (about one accidental collision per 16 concurrent
-// pairs).  Ignored for LFRC deques, whose reference-count words require
-// the per-location emulation.
-func WithBitLockDCAS() Option {
-	return func(c *config) { c.bitLockDCAS = true }
-}
-
-// WithEndLockDCAS selects the anchored in-word DCAS emulation for the
-// array deque: a DCAS validates and locks the end index with one CAS of
-// the index word itself (marking its spare top bit), arbitrates the cell
-// with a second CAS, and commits with one store — three locked
-// read-modify-writes per DCAS, against four for the bit-table emulation
-// and six for the lock-pair ones.  It is the fastest substrate this
-// library has on the contended two-ends workload.
-//
-// The emulation requires that one location of every DCAS pair is an
-// always-anchor word with a spare bit, which only the array deque's
-// (end, cell) pairs provide; list deques fall back to the bit-table
-// emulation (LFRC to the per-location one, as with WithBitLockDCAS).
-func WithEndLockDCAS() Option {
-	return func(c *config) { c.endLockDCAS = true }
 }
 
 // BackoffConfig tunes the bounded exponential backoff applied after a

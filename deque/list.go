@@ -66,17 +66,9 @@ func NewList[T any](opts ...Option) *List[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var prov dcas.Provider
-	switch {
-	case cfg.globalLockDCAS:
+	var prov dcas.Provider // nil: dcas.Default(), the per-location TwoLock
+	if cfg.globalLockDCAS {
 		prov = new(dcas.GlobalLock)
-	case (cfg.bitLockDCAS || cfg.endLockDCAS) && !cfg.lfrc:
-		// LFRC mixes per-location CAS on reference counts with DCAS on the
-		// same locations, which only the per-location emulation linearizes.
-		// EndLock falls back to the bit table here: list-deque link words
-		// appear on both sides of DCAS pairs, outside EndLock's
-		// anchored-pair contract.
-		prov = new(dcas.BitLock)
 	}
 	var inst *instruments
 	if cfg.telemetry {

@@ -62,36 +62,27 @@ func hammer(t *testing.T, d Deque[int]) {
 }
 
 // TestEngineeredOptions exercises the contention-engineering options —
-// bit-table DCAS, padded cells, and retry backoff — through the public
-// constructors under concurrent load.
+// padded cells and retry backoff — through the public constructors under
+// concurrent load, on each constructor's default DCAS emulation.
 func TestEngineeredOptions(t *testing.T) {
-	t.Run("ArrayBitLockPaddedBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64,
-			WithBitLockDCAS(), WithPaddedCells(), WithBackoff(BackoffConfig{})))
+	t.Run("ArrayPaddedBackoff", func(t *testing.T) {
+		hammer(t, NewArray[int](64, WithPaddedCells(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64, WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
-	})
-	t.Run("ListEndLockFallsBackToBitLock", func(t *testing.T) {
-		// List deques cannot satisfy EndLock's anchored-pair contract; the
-		// option must degrade to the bit-table emulation, not misbehave.
-		hammer(t, NewList[int](WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
+		// EndLock is the array default: no provider option selects it.
+		hammer(t, NewArray[int](64, WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ArrayExplicitBackoff", func(t *testing.T) {
 		hammer(t, NewArray[int](64,
 			WithBackoff(BackoffConfig{MinSpins: 4, MaxSpins: 256})))
 	})
-	t.Run("ListBitLockBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithBitLockDCAS(), WithBackoff(BackoffConfig{})))
+	t.Run("ListBackoff", func(t *testing.T) {
+		hammer(t, NewList[int](WithBackoff(BackoffConfig{})))
 	})
-	t.Run("ListDummyBitLockBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithDummyNodes(), WithBitLockDCAS(),
-			WithBackoff(BackoffConfig{})))
+	t.Run("ListDummyBackoff", func(t *testing.T) {
+		hammer(t, NewList[int](WithDummyNodes(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ListLFRCBackoff", func(t *testing.T) {
-		// WithBitLockDCAS must be ignored for LFRC (reference counts need
-		// the per-location emulation); the combination must still be safe.
-		hammer(t, NewList[int](WithLFRC(), WithBitLockDCAS(),
-			WithBackoff(BackoffConfig{})))
+		hammer(t, NewList[int](WithLFRC(), WithBackoff(BackoffConfig{})))
 	})
 }

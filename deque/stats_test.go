@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -112,6 +113,29 @@ func TestStatsArray(t *testing.T) {
 	sst, _ := small.Stats()
 	if sst.Right.FullHits != 1 {
 		t.Fatalf("full hits = %d, want 1", sst.Right.FullHits)
+	}
+}
+
+// TestStatsArrayWrapsDefaultProvider: with telemetry the array deque
+// keeps its default EndLock emulation but wraps it in the attributing
+// provider, so the core drives it through the generic, non-inlined path
+// (an inlined DCAS would go uncounted) and counts every DCAS exactly.
+func TestStatsArrayWrapsDefaultProvider(t *testing.T) {
+	d := NewArray[int](16, WithTelemetry())
+	core := reflect.ValueOf(d.core).Elem()
+	if !core.FieldByName("el").IsNil() {
+		t.Fatal("instrumented array deque takes the inlined EndLock path")
+	}
+	wrapped := core.FieldByName("prov").Elem().Elem().FieldByName("p").Elem()
+	if got := wrapped.Type().String(); got != "*dcas.EndLock" {
+		t.Fatalf("wrapped provider is %s, want *dcas.EndLock", got)
+	}
+	exercise(t, d)
+	st, _ := d.Stats()
+	// Uncontended, each of the 29 operations linearizes at exactly one
+	// DCAS (the final pop at its empty-confirming DCAS).
+	if st.DCAS.Attempts != 29 || st.DCAS.Failures != 0 {
+		t.Fatalf("DCAS attempts/failures = %d/%d, want 29/0", st.DCAS.Attempts, st.DCAS.Failures)
 	}
 }
 

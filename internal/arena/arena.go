@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"dcasdeque/internal/dcas"
 )
 
 // Nil is the reserved "no slot" index.  Valid slot indices returned by
@@ -50,15 +52,29 @@ type block[T any] struct {
 
 // Arena is a fixed-capacity concurrent slot allocator.  All methods are
 // safe for concurrent use.  An Arena must be created with New.
+//
+// The fields form four groups, each in its own false-sharing range
+// (dcas.FalseSharingRange): the read-mostly header that every locate and
+// Resolve reads, the bump pointer, the freelist head, and the occupancy
+// ledger.  Every Alloc and Free writes the freelist head and the ledger,
+// from whichever core runs it; sharing a line with the header would turn
+// each of those writes into a cache miss on the other core's next slot
+// lookup.
 type Arena[T any] struct {
+	// Read-mostly header: set by New (each blocks element is published
+	// once, by ensureBlock) and read on every slot access.
 	blockSize  int // power of two
 	blockShift uint
 	capacity   int
 	reuse      bool
+	blocks     []atomic.Pointer[block[T]]
+	slotBytes  uint64
 
-	bump   atomic.Int64  // next never-allocated index
-	free   atomic.Uint64 // Treiber head: tag<<32 | idx+1
-	blocks []atomic.Pointer[block[T]]
+	_    dcas.CacheLinePad
+	bump atomic.Int64 // next never-allocated index
+	_    dcas.CacheLinePad
+	free atomic.Uint64 // Treiber head: tag<<32 | idx+1
+	_    dcas.CacheLinePad
 
 	// Occupancy ledger.  live is an independent counter, NOT derived from
 	// allocs−frees, so the conservation invariant
@@ -77,7 +93,7 @@ type Arena[T any] struct {
 	live      atomic.Int64
 	highWater atomic.Int64
 	slabs     atomic.Uint64
-	slotBytes uint64
+	_         dcas.CacheLinePad
 }
 
 // Occupancy is a point-in-time snapshot of an arena's ledger.  Taken while

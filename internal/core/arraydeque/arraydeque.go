@@ -61,8 +61,8 @@ type Deque struct {
 	// el, when non-nil, is prov's concrete type: the four operations then
 	// call it directly so the two DCAS calls per attempt skip interface
 	// dispatch.  The dispatch cost is fixed, so it matters exactly where
-	// this provider is chosen — when the DCAS itself has been engineered
-	// down to three locked instructions.
+	// this provider is chosen — the default, whose DCAS has been
+	// engineered down to three locked instructions.
 	el    *dcas.EndLock
 	n     uint64
 	shift uint // log₂ cell stride in s: 0 packed, cellShift padded
@@ -105,7 +105,10 @@ type options struct {
 	tel          *telemetry.Sink
 }
 
-// WithProvider selects the DCAS emulation (default: a fresh dcas.TwoLock).
+// WithProvider selects the DCAS emulation.  The default is a fresh
+// dcas.EndLock, whose three-instruction fast path the operations inline.
+// Any other provider — including a wrapped (instrumented) EndLock — runs
+// through the generic Provider calls, one interface dispatch per DCAS.
 func WithProvider(p dcas.Provider) Option {
 	return func(o *options) { o.prov = p }
 }
@@ -163,7 +166,7 @@ func New(n int, opts ...Option) *Deque {
 		f(&o)
 	}
 	if o.prov == nil {
-		o.prov = dcas.Default()
+		o.prov = new(dcas.EndLock)
 	}
 	d := &Deque{
 		prov:         o.prov,

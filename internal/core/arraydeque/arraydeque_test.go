@@ -9,21 +9,30 @@ import (
 )
 
 // variants returns one constructor per algorithm configuration so every
-// test runs across the option matrix: both DCAS providers crossed with the
-// two optional optimizations of Section 3.
+// test runs across the option matrix: the DCAS providers crossed with the
+// two optional optimizations of Section 3.  The EndLock rows are the
+// default (inlined) path; the TwoLock and GlobalLock rows drive the
+// generic Provider path.
 func variants() map[string]func(n int) *Deque {
+	twoLock := func() Option { return WithProvider(new(dcas.TwoLock)) }
 	return map[string]func(n int) *Deque{
-		"TwoLock/strong/recheck": func(n int) *Deque {
+		"EndLock/strong/recheck": func(n int) *Deque {
 			return New(n)
 		},
+		"EndLock/weak/norecheck": func(n int) *Deque {
+			return New(n, WithStrongDCAS(false), WithRecheckIndex(false))
+		},
+		"TwoLock/strong/recheck": func(n int) *Deque {
+			return New(n, twoLock())
+		},
 		"TwoLock/strong/norecheck": func(n int) *Deque {
-			return New(n, WithRecheckIndex(false))
+			return New(n, twoLock(), WithRecheckIndex(false))
 		},
 		"TwoLock/weak/recheck": func(n int) *Deque {
-			return New(n, WithStrongDCAS(false))
+			return New(n, twoLock(), WithStrongDCAS(false))
 		},
 		"TwoLock/weak/norecheck": func(n int) *Deque {
-			return New(n, WithStrongDCAS(false), WithRecheckIndex(false))
+			return New(n, twoLock(), WithStrongDCAS(false), WithRecheckIndex(false))
 		},
 		"GlobalLock/strong/recheck": func(n int) *Deque {
 			return New(n, WithProvider(new(dcas.GlobalLock)))
@@ -48,6 +57,22 @@ func checkInv(t *testing.T, d *Deque) {
 	t.Helper()
 	if err := d.CheckRepInv(); err != nil {
 		t.Fatalf("representation invariant violated: %v", err)
+	}
+}
+
+// TestDefaultProviderIsEndLock pins the default substrate: New without a
+// provider must run on EndLock through the devirtualized, inlined path
+// (d.el set), and an explicit provider of another type must not.
+func TestDefaultProviderIsEndLock(t *testing.T) {
+	d := New(4)
+	if _, ok := d.prov.(*dcas.EndLock); !ok {
+		t.Fatalf("default provider is %T, want *dcas.EndLock", d.prov)
+	}
+	if d.el == nil {
+		t.Fatal("default deque does not take the inlined EndLock path (el == nil)")
+	}
+	if g := New(4, WithProvider(new(dcas.TwoLock))); g.el != nil {
+		t.Fatal("explicit TwoLock provider took the EndLock fast path")
 	}
 }
 

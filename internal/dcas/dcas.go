@@ -8,19 +8,24 @@
 // software emulation".  No shipping hardware provides DCAS, so this package
 // supplies blocking software emulations behind the Provider interface:
 //
-//   - TwoLock: the default fine-grained emulation.  It locks only the two
+//   - TwoLock: the general emulation and Default().  It locks only the two
 //     addressed locations using per-location word-sized TATAS spinlocks
 //     (deadlock-free via a fixed lock order).  Operations on disjoint
 //     location pairs proceed in parallel, which preserves the paper's
 //     central claim that the two deque ends can be accessed concurrently,
 //     and the critical section — two loads and at most two stores — is
-//     short enough that spinning beats parking by a wide margin.
-//   - StripedMutex: the same two-location discipline over a fixed table of
-//     sync.Mutex stripes.  This reproduces the futex-parking contention
-//     behaviour the emulation had before the spinlock rebuild and is kept
-//     as the measurement baseline for that change (see BENCH_PR1.json).
+//     short enough that spinning beats parking by a wide margin.  The list
+//     deques, the LFRC deque and the Greenwald baseline run on it.
+//   - EndLock: the anchored in-word emulation specialized to the array
+//     deque's (end index, cell) pairs — three locked read-modify-writes
+//     per DCAS and no lock table.  It is the array deque's default, which
+//     inlines its fast path; it is not a general provider (see the type).
 //   - GlobalLock: a single mutex per provider instance.  All DCAS
 //     operations serialize; used as an ablation baseline.
+//
+// The list deques keep TwoLock by measurement: on two cores both a
+// single-word lock table and GlobalLock raised the list workload's p90
+// latency by about 8% (DESIGN.md §6).
 //
 // Single-location reads and writes remain individually atomic (sync/atomic)
 // and are linearizable with respect to DCAS: a DCAS validates both old
@@ -170,7 +175,7 @@ type Provider interface {
 	DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, ok bool)
 }
 
-// TwoLock is the default DCAS emulation.  It locks exactly the two
+// TwoLock is the general DCAS emulation.  It locks exactly the two
 // addressed locations, so DCAS operations on disjoint pairs of locations
 // run concurrently.  Deadlock between two overlapping DCAS operations is
 // avoided by acquiring the spinlocks in the fixed total order given by
@@ -227,92 +232,6 @@ func (p *TwoLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, o
 	return v1, v2, ok
 }
 
-// mutexStripes is the size of a StripedMutex's lock table (power of two).
-const mutexStripes = 1024
-
-// StripedMutex emulates DCAS with the two-location locking discipline of
-// TwoLock but over a fixed table of sync.Mutex stripes selected by the
-// locations' ordering tokens.  Under contention its waiters park in the
-// runtime's semaphore (futex) layer exactly as the pre-spinlock emulation
-// did, so it is retained as the mutex baseline for the substrate
-// measurements: comparing TwoLock to StripedMutex isolates what replacing
-// parking locks with contention-managed spinlocks buys.
-//
-// Two locations that map to the same stripe share one mutex (correct —
-// the DCAS is then a single critical section); distinct stripes are locked
-// in index order, so the emulation is deadlock-free.
-//
-// Like GlobalLock, StripedMutex does not acquire the per-location locks
-// used by Loc.Store and Loc.CAS, so mixing those on the same locations is
-// not linearizable; the deque algorithms driven by the benchmarks never
-// Store or CAS a shared location after construction.
-//
-// The zero value is ready to use.  A StripedMutex must not be copied
-// after first use.
-type StripedMutex struct {
-	mus [mutexStripes]sync.Mutex
-}
-
-// stripePair returns the stripes guarding the two locations, lowest
-// first; m2 is nil when both map to one stripe.
-func (p *StripedMutex) stripePair(a1, a2 *Loc) (m1, m2 *sync.Mutex) {
-	i1 := a1.lockID() & (mutexStripes - 1)
-	i2 := a2.lockID() & (mutexStripes - 1)
-	if i1 == i2 {
-		return &p.mus[i1], nil
-	}
-	if i1 > i2 {
-		i1, i2 = i2, i1
-	}
-	return &p.mus[i1], &p.mus[i2]
-}
-
-// DCAS implements the weak form of Figure 1 under the stripe locks.
-func (p *StripedMutex) DCAS(a1, a2 *Loc, o1, o2, n1, n2 uint64) bool {
-	if a1 == a2 {
-		panic("dcas: DCAS requires two distinct locations")
-	}
-	m1, m2 := p.stripePair(a1, a2)
-	m1.Lock()
-	if m2 != nil {
-		m2.Lock()
-	}
-	ok := a1.v.Load() == o1 && a2.v.Load() == o2
-	if ok {
-		a1.v.Store(n1)
-		a2.v.Store(n2)
-	}
-	if m2 != nil {
-		m2.Unlock()
-	}
-	m1.Unlock()
-	return ok
-}
-
-// DCASView implements the strong form of Figure 1 under the stripe locks.
-func (p *StripedMutex) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, ok bool) {
-	if a1 == a2 {
-		panic("dcas: DCASView requires two distinct locations")
-	}
-	m1, m2 := p.stripePair(a1, a2)
-	m1.Lock()
-	if m2 != nil {
-		m2.Lock()
-	}
-	v1 = a1.v.Load()
-	v2 = a2.v.Load()
-	ok = v1 == o1 && v2 == o2
-	if ok {
-		a1.v.Store(n1)
-		a2.v.Store(n2)
-	}
-	if m2 != nil {
-		m2.Unlock()
-	}
-	m1.Unlock()
-	return v1, v2, ok
-}
-
 // GlobalLock is a coarse DCAS emulation: every operation serializes on one
 // mutex.  It is the simplest correct emulation and serves as the ablation
 // baseline for measuring what fine-grained locking buys (experiment B6).
@@ -362,13 +281,13 @@ func (p *GlobalLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64
 	return v1, v2, ok
 }
 
-// Default returns the provider used when a deque is constructed without an
-// explicit choice: a fresh TwoLock.
+// Default returns the general provider used when a list deque, LFRC
+// deque or baseline is constructed without an explicit choice: a fresh
+// TwoLock.  The array deque defaults to EndLock instead.
 func Default() Provider { return new(TwoLock) }
 
 // Compile-time interface checks.
 var (
 	_ Provider = (*TwoLock)(nil)
-	_ Provider = (*StripedMutex)(nil)
 	_ Provider = (*GlobalLock)(nil)
 )

@@ -11,10 +11,8 @@ import (
 // keyed by name, so each test runs against all emulations (experiment F1).
 func providers() map[string]Provider {
 	return map[string]Provider{
-		"TwoLock":      new(TwoLock),
-		"BitLock":      new(BitLock),
-		"StripedMutex": new(StripedMutex),
-		"GlobalLock":   new(GlobalLock),
+		"TwoLock":    new(TwoLock),
+		"GlobalLock": new(GlobalLock),
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // Histogram is a log-linear latency histogram: values are bucketed by
-// power of two with 8 linear sub-buckets each, covering 1ns to ~35s with
-// ≤ 12.5% relative error.  It is NOT safe for concurrent use; give each
+// power of two with 8 linear sub-buckets each, so a bucket spans 12.5% of
+// its power of two and Quantile overstates by at most that much.  It is NOT safe for concurrent use; give each
 // worker its own and Merge afterwards.
 type Histogram struct {
 	counts [64 * subBuckets]uint64
@@ -87,8 +87,13 @@ func (h *Histogram) Min() uint64 { return h.min }
 // Max reports the largest observation.
 func (h *Histogram) Max() uint64 { return h.max }
 
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) with the
-// histogram's bucket resolution.
+// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
+// upper edge of the bucket holding it, clamped to [Min, Max].  The
+// resolution is the bucket width — 8 linear sub-buckets per power of two,
+// so above 8 the bound overstates the true quantile by at most 12.5% —
+// and the clamp keeps a quantile inside the observed range: without it
+// p99.9 of a run whose slowest request fell low in its bucket reported
+// more than the run's maximum.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.n == 0 {
 		return 0
@@ -107,10 +112,20 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for b, c := range h.counts {
 		cum += c
 		if cum > target {
-			return bucketLow(b + 1)
+			return h.clamp(bucketLow(b + 1))
 		}
 	}
 	return h.max
+}
+
+// clamp bounds v to the observed [min, max].  A histogram merged from
+// stripes while they were still recording can hold min > max; its range
+// is then not trustworthy and v is returned as is.
+func (h *Histogram) clamp(v uint64) uint64 {
+	if h.min > h.max {
+		return v
+	}
+	return min(max(v, h.min), h.max)
 }
 
 // Merge folds other into h.

@@ -217,6 +217,39 @@ func TestQuantileEdges(t *testing.T) {
 	}
 }
 
+// TestQuantileClampedToMax: a bucket's upper edge can exceed every value
+// in it.  A serving run recorded max 782687818 ns with its slowest
+// requests in the bucket [671088640, 805306368), and p999 reported the
+// edge 805306368 ns, above the maximum.  Quantiles must stay inside
+// [Min, Max].
+func TestQuantileClampedToMax(t *testing.T) {
+	const maxNs = 782687818
+	var h Histogram
+	for i := uint64(0); i < 999; i++ {
+		h.Record(1000 + i)
+	}
+	h.Record(maxNs)
+	if edge := bucketLow(bucketOf(maxNs) + 1); edge != 805306368 {
+		t.Fatalf("bucket edge = %d, want 805306368 (the reported p999)", edge)
+	}
+	for _, q := range []float64{0.999, 1} {
+		if got := h.Quantile(q); got != maxNs {
+			t.Fatalf("Quantile(%v) = %d, want the max %d", q, got, uint64(maxNs))
+		}
+	}
+	// The bound still covers the true quantile within one bucket.
+	if p50 := h.Quantile(0.5); p50 < 1500 || p50 > 1500+1500/8 {
+		t.Fatalf("p50 = %d, want within 12.5%% above 1500", p50)
+	}
+	// A low quantile never falls below the minimum.
+	var lo Histogram
+	lo.Record(1000)
+	lo.Record(1001)
+	if got := lo.Quantile(0); got < lo.Min() || got > lo.Max() {
+		t.Fatalf("Quantile(0) = %d outside [%d, %d]", got, lo.Min(), lo.Max())
+	}
+}
+
 func TestMergeSaturatedExtremes(t *testing.T) {
 	// One side saturated at the top bucket (observations near MaxUint64,
 	// where bucketLow(b+1) saturates), the other holding small values:

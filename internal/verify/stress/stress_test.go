@@ -19,6 +19,9 @@ func TestArrayDequeLinearizable(t *testing.T) {
 		"weak":            {arraydeque.WithStrongDCAS(false)},
 		"weak-norecheck":  {arraydeque.WithStrongDCAS(false), arraydeque.WithRecheckIndex(false)},
 		"global-provider": {arraydeque.WithProvider(new(dcas.GlobalLock))},
+		// The default is the inlined EndLock path; this case keeps the
+		// generic Provider path linearizability-checked too.
+		"twolock-provider": {arraydeque.WithProvider(new(dcas.TwoLock))},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -98,18 +101,15 @@ func TestListDequeLinearizable(t *testing.T) {
 }
 
 // TestEngineeredSubstrateLinearizable stress-checks the contention-
-// engineered configurations: the bit-table DCAS emulation, padded cells,
-// and retry backoff, alone and combined.  Backoff stretches the window
-// between a failed attempt and its retry, and BitLock coarsens the lock
-// space to 64 bits, so these schedules interleave differently from the
-// defaults the other tests cover.
+// engineered configurations: the anchored EndLock emulation, padded
+// cells, and retry backoff, alone and combined.  Backoff stretches the
+// window between a failed attempt and its retry, so these schedules
+// interleave differently from the defaults the other tests cover.
 func TestEngineeredSubstrateLinearizable(t *testing.T) {
 	bo := &dcas.BackoffPolicy{MinSpins: 2, MaxSpins: 64}
 	arrayCases := map[string][]arraydeque.Option{
 		"backoff": {arraydeque.WithBackoff(bo)},
-		"bitlock": {arraydeque.WithProvider(new(dcas.BitLock))},
-		"bitlock-padded-backoff": {
-			arraydeque.WithProvider(new(dcas.BitLock)),
+		"padded-backoff": {
 			arraydeque.WithPaddedCells(true),
 			arraydeque.WithBackoff(bo),
 		},
@@ -139,17 +139,15 @@ func TestEngineeredSubstrateLinearizable(t *testing.T) {
 		items func() ([]uint64, error)
 	}{}
 	{
-		d := listdeque.New(listdeque.WithProvider(new(dcas.BitLock)),
-			listdeque.WithBackoff(bo))
-		listCases["bit-bitlock-backoff"] = struct {
+		d := listdeque.New(listdeque.WithBackoff(bo))
+		listCases["bit-backoff"] = struct {
 			d     Deque
 			items func() ([]uint64, error)
 		}{d, d.Items}
 	}
 	{
-		d := listdeque.NewDummy(listdeque.WithProvider(new(dcas.BitLock)),
-			listdeque.WithBackoff(bo))
-		listCases["dummy-bitlock-backoff"] = struct {
+		d := listdeque.NewDummy(listdeque.WithBackoff(bo))
+		listCases["dummy-backoff"] = struct {
 			d     Deque
 			items func() ([]uint64, error)
 		}{d, d.Items}
