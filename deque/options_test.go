@@ -63,9 +63,12 @@ func hammer(t *testing.T, d Deque[int]) {
 
 // TestEngineeredOptions exercises the contention-engineering options —
 // padded cells and retry backoff — through the public constructors under
-// concurrent load, on each constructor's default DCAS emulation.
+// concurrent load, on each constructor's default DCAS emulation.  The
+// subtests named for BitLock keep the names they had when they ran on the
+// bit-table emulation; BitLock is deleted and they now run on the
+// constructor's default, so their history stays comparable by name.
 func TestEngineeredOptions(t *testing.T) {
-	t.Run("ArrayPaddedBackoff", func(t *testing.T) {
+	t.Run("ArrayBitLockPaddedBackoff", func(t *testing.T) {
 		hammer(t, NewArray[int](64, WithPaddedCells(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
@@ -76,10 +79,10 @@ func TestEngineeredOptions(t *testing.T) {
 		hammer(t, NewArray[int](64,
 			WithBackoff(BackoffConfig{MinSpins: 4, MaxSpins: 256})))
 	})
-	t.Run("ListBackoff", func(t *testing.T) {
+	t.Run("ListBitLockBackoff", func(t *testing.T) {
 		hammer(t, NewList[int](WithBackoff(BackoffConfig{})))
 	})
-	t.Run("ListDummyBackoff", func(t *testing.T) {
+	t.Run("ListDummyBitLockBackoff", func(t *testing.T) {
 		hammer(t, NewList[int](WithDummyNodes(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ListLFRCBackoff", func(t *testing.T) {

@@ -104,12 +104,15 @@ func TestListDequeLinearizable(t *testing.T) {
 // engineered configurations: the anchored EndLock emulation, padded
 // cells, and retry backoff, alone and combined.  Backoff stretches the
 // window between a failed attempt and its retry, so these schedules
-// interleave differently from the defaults the other tests cover.
+// interleave differently from the defaults the other tests cover.  The
+// cases named for bitlock keep the names they had when they ran on the
+// bit-table emulation; BitLock is deleted and they now run on the
+// constructor's default provider.
 func TestEngineeredSubstrateLinearizable(t *testing.T) {
 	bo := &dcas.BackoffPolicy{MinSpins: 2, MaxSpins: 64}
 	arrayCases := map[string][]arraydeque.Option{
 		"backoff": {arraydeque.WithBackoff(bo)},
-		"padded-backoff": {
+		"bitlock-padded-backoff": {
 			arraydeque.WithPaddedCells(true),
 			arraydeque.WithBackoff(bo),
 		},
@@ -140,14 +143,14 @@ func TestEngineeredSubstrateLinearizable(t *testing.T) {
 	}{}
 	{
 		d := listdeque.New(listdeque.WithBackoff(bo))
-		listCases["bit-backoff"] = struct {
+		listCases["bit-bitlock-backoff"] = struct {
 			d     Deque
 			items func() ([]uint64, error)
 		}{d, d.Items}
 	}
 	{
 		d := listdeque.NewDummy(listdeque.WithBackoff(bo))
-		listCases["dummy-backoff"] = struct {
+		listCases["dummy-bitlock-backoff"] = struct {
 			d     Deque
 			items func() ([]uint64, error)
 		}{d, d.Items}
