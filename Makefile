@@ -71,6 +71,7 @@ soak:
 serve-smoke:
 	$(GO) build -race -o /tmp/dequeserve ./cmd/dequeserve
 	$(GO) build -race -o /tmp/dequeload ./cmd/dequeload
+	$(GO) build -o /dev/null ./cmd/dequetop
 	rm -f /tmp/serve.addr; \
 	/tmp/dequeserve -listen 127.0.0.1:0 -addr-file /tmp/serve.addr -drain 10s & \
 	SERVE_PID=$$!; \
@@ -78,7 +79,10 @@ serve-smoke:
 	/tmp/dequeload -url "http://$$(cat /tmp/serve.addr)/jobs" -mode open -rate 300 \
 	  -duration 6s -kind fib -n 25 -verify -tenants free:1,gold:3 & \
 	LOAD_PID=$$!; \
-	sleep 3; kill -TERM $$SERVE_PID; \
+	sleep 3; \
+	$(GO) run ./cmd/dequetop -once -url "http://$$(cat /tmp/serve.addr)/metrics" | tee /tmp/dequetop.txt; \
+	grep -q '^dequeserve\.sched ' /tmp/dequetop.txt || { kill -TERM $$SERVE_PID; exit 1; }; \
+	kill -TERM $$SERVE_PID; \
 	wait $$LOAD_PID || true; wait $$SERVE_PID
 
 # Randomized serve fault certification (CI runs 200 race-instrumented;

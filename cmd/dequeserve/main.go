@@ -2,8 +2,8 @@
 // service: an HTTP server where POSTed jobs land in per-tenant bounded
 // queues, flow through the weighted round-robin pump into the
 // work-stealing scheduler, and answer with their results.  The full
-// observability surface (/telemetry, /metrics, /debug/pprof) is
-// mounted alongside /jobs and /healthz.
+// observability surface (/metrics, /debug/pprof) is mounted alongside
+// /jobs and /healthz; point cmd/dequetop at /metrics for a live view.
 //
 // SIGTERM or SIGINT begins a graceful drain: new submissions answer
 // 503, in-flight jobs complete, and once the scheduler has quiesced the

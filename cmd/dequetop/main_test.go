@@ -12,12 +12,38 @@ import (
 )
 
 func TestParse(t *testing.T) {
-	c := parse("a.left.pushes 10\na.left.pops 3\n\njunk line with no value\nb.sched.runs 7\nbad.value x\n")
-	if len(c) != 3 {
-		t.Fatalf("parsed %d keys, want 3: %v", len(c), c)
+	sc := parse(`# HELP a_total help text
+# TYPE a_total counter
+a_total{deque="a",end="left",counter="pushes"} 10
+a_total{deque="a",end="left",counter="pops"} 3
+
+junk line with no value
+b_seconds_bucket{sched="b \"q\", x",le="+Inf"} 7
+unlabelled 2.5e-06
+c{x="y"} 2.5e-06
+bad{deque="x"} x
+bad{deque="unterminated} 1
+`)
+	if len(sc) != 4 {
+		t.Fatalf("parsed %d samples, want 4: %v", len(sc), sc)
 	}
-	if c["a.left.pushes"] != 10 || c["b.sched.runs"] != 7 {
-		t.Fatalf("values: %v", c)
+	if v, ok := sc.sum("a_total", "deque", "a", "counter", "pushes"); !ok || v != 10 {
+		t.Fatalf("pushes = %v (found %v), want 10", v, ok)
+	}
+	if v, _ := sc.sum("a_total", "deque", "a"); v != 13 {
+		t.Fatalf("sum over counters = %v, want 13", v)
+	}
+	if v, ok := sc.sum("b_seconds_bucket", "sched", `b "q", x`, "le", "+Inf"); !ok || v != 7 {
+		t.Fatalf("escaped label value: %v (found %v), want 7", v, ok)
+	}
+	if v, ok := sc.sum("c"); !ok || v != 2.5e-06 {
+		t.Fatalf("unlabelled sample: %v (found %v)", v, ok)
+	}
+	if _, ok := sc.sum("a_total", "deque", "missing"); ok {
+		t.Fatal("sum matched a missing label value")
+	}
+	if got := sc.labelValues("a_total", "counter"); strings.Join(got, ",") != "pops,pushes" {
+		t.Fatalf("labelValues = %v", got)
 	}
 }
 
@@ -49,19 +75,20 @@ func TestRenderLive(t *testing.T) {
 	unSched := telemetry.RegisterSched("topsched", ss)
 	defer unSched()
 
-	srv := httptest.NewServer(deque.TelemetryHandler())
+	srv := httptest.NewServer(deque.PrometheusHandler())
 	defer srv.Close()
 
 	cur, err := fetch(&http.Client{}, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur["topdeque.right.pushes"] != 1 || cur["topsched.sched.runs"] != 1 {
+	if opsOf(cur, "topdeque", "right") != 1 || cur.count("dcasdeque_sched_events_total", "sched", "topsched", "event", "runs") != 1 {
 		t.Fatalf("fetch missed counters: %v", cur)
 	}
 
+	prev := parse(`dcasdeque_ops_total{deque="topdeque",end="right",counter="pushes"} 0`)
 	var b strings.Builder
-	render(&b, cur, counters{"topdeque.right.pushes": 0}, time.Second)
+	render(&b, cur, prev, time.Second)
 	out := b.String()
 	for _, want := range []string{
 		"DEQUE", "SCHED",
@@ -90,8 +117,10 @@ func TestRenderLive(t *testing.T) {
 		// The op histogram recorded; only the spin column may be absent.
 		t.Errorf("right row lost its latency quantiles: %q", rightRow)
 	}
-	if strings.Contains(schedLatRow, " - ") && !strings.Contains(schedLatRow, "µs") && !strings.Contains(schedLatRow, "ms") {
-		t.Errorf("sched latency row empty: %q", schedLatRow)
+	// One 12345 ns sample: every quantile is clamped to it, and the
+	// seconds-valued gauge must round-trip to the exact nanosecond.
+	if strings.Count(schedLatRow, "12.35µs") != 3 {
+		t.Errorf("sched latency row lost its quantiles: %q", schedLatRow)
 	}
 
 	// The left end retried: its spin column carries a duration.
@@ -114,7 +143,7 @@ func TestRenderLive(t *testing.T) {
 // notice rather than a bare header.
 func TestRenderEmpty(t *testing.T) {
 	var b strings.Builder
-	render(&b, counters{}, counters{}, time.Second)
+	render(&b, nil, nil, time.Second)
 	if !strings.Contains(b.String(), "no registered deques or schedulers") {
 		t.Fatalf("empty frame:\n%s", b.String())
 	}

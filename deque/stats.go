@@ -23,10 +23,9 @@ func WithTelemetry() Option {
 }
 
 // WithTelemetryName enables telemetry (as WithTelemetry) and additionally
-// registers the deque's counters under name with the process-wide
-// exporter: the "dcasdeque" expvar variable and the TelemetryHandler HTTP
-// endpoint.  Registering a second deque under the same name replaces the
-// first.
+// registers the deque's counters and memory ledger under name with the
+// process-wide exporter, PrometheusHandler.  Registering a second deque
+// under the same name replaces the first.
 func WithTelemetryName(name string) Option {
 	return func(c *config) {
 		c.telemetry = true
@@ -154,16 +153,12 @@ type Stats struct {
 	Latency *LatencyStats `json:"latency,omitempty"`
 }
 
-// TelemetryHandler serves every deque registered with WithTelemetryName
-// as flat "name.end.counter value" text, one counter per line.  The same
-// data is published as the "dcasdeque" expvar variable, so it also
-// appears under the standard /debug/vars endpoint.
-func TelemetryHandler() http.Handler { return telemetry.Handler() }
-
-// PrometheusHandler serves the same registry in the Prometheus text
-// exposition format: counters as *_total families, the WithLatency
-// histograms as native `le`-bucketed histograms in seconds plus
-// pre-computed quantile gauges.  Mount at /metrics for scraping.
+// PrometheusHandler serves every deque, scheduler and server registered
+// by name (WithTelemetryName, sched.WithTelemetryName, serve.WithName)
+// in the Prometheus text exposition format: counters as *_total
+// families, memory ledgers as counter and gauge families, the
+// WithLatency histograms as native `le`-bucketed histograms in seconds
+// plus pre-computed quantile gauges.  Mount at /metrics for scraping.
 func PrometheusHandler() http.Handler { return telemetry.PrometheusHandler() }
 
 // instruments is the per-deque telemetry state the public wrappers carry

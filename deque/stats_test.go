@@ -1,8 +1,6 @@
 package deque
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -317,8 +315,8 @@ func TestStatsLatencyAbsentWithoutOption(t *testing.T) {
 	}
 }
 
-// TestStatsExported: WithTelemetryName surfaces the deque through the
-// text handler and the expvar variable.
+// TestStatsExported: WithTelemetryName surfaces the deque, with its
+// memory ledger, through PrometheusHandler.
 func TestStatsExported(t *testing.T) {
 	d := NewList[int](WithTelemetryName("exported-test"))
 	defer d.CloseTelemetry()
@@ -326,26 +324,20 @@ func TestStatsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if !strings.Contains(body, "exported-test.right.pushes 1") {
-		t.Fatalf("handler output missing counter:\n%s", body)
+	for _, want := range []string{
+		`dcasdeque_ops_total{deque="exported-test",end="right",counter="pushes"} 1`,
+		`dcasdeque_mem_occupancy{deque="exported-test",pool="slots",field="live"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
 	}
-	v := expvar.Get("dcasdeque")
-	if v == nil {
-		t.Fatal("dcasdeque expvar not published")
-	}
-	var decoded map[string]struct {
-		Telemetry struct {
-			Right struct {
-				Pushes uint64 `json:"pushes"`
-			} `json:"right"`
-		} `json:"telemetry"`
-	}
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar JSON: %v", err)
-	}
-	if decoded["exported-test"].Telemetry.Right.Pushes != 1 {
-		t.Fatalf("expvar missing push count: %s", v.String())
+	d.CloseTelemetry()
+	rec = httptest.NewRecorder()
+	PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if strings.Contains(rec.Body.String(), `deque="exported-test"`) {
+		t.Fatal("deque still exported after CloseTelemetry")
 	}
 }

@@ -13,9 +13,6 @@
 //   - mutex style: Lock/TryLock/Unlock (and RLock/RUnlock) on sync.Mutex,
 //     sync.RWMutex, or any type whose name contains "spinlock"
 //     (case-insensitive).  Spinlock windows are "spin windows".
-//   - bitmask style: acquire(bits)/release(bits) on a type whose name
-//     contains "bitlock"; the lock identity is (receiver, bits
-//     expression).  Spin window.
 //   - anchor-mark style: the EndLock protocol.  A conditional acquire is
 //     either a mark(a1, o1) call on a type whose name contains "endlock",
 //     or an inlined X.RawCAS(o, o|EndLockBit) / X.CompareAndSwap(o,
@@ -24,9 +21,7 @@
 //
 // The analysis is an abstract interpretation over structured control flow:
 // held-lock sets are propagated through if/else, switch, select, and
-// loops; branches must agree at join points (with one idiom understood
-// specially: a lock acquired and released under matching `X != nil`
-// guards, as in the striped-mutex emulation); loops must preserve the
+// loops; branches must agree at join points; loops must preserve the
 // lock state across an iteration; and every return — and the implicit
 // return at the end of the function — must hold nothing.  panic is an
 // accepted exit (the process dies; no convoy outlives it).
@@ -65,7 +60,7 @@ import (
 // Analyzer is the lockpath analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "lockpath",
-	Doc: "check that every spinlock/bitlock/endlock acquire is released on all " +
+	Doc: "check that every mutex/spinlock/endlock acquire is released on all " +
 		"control-flow paths and that spin windows contain only raw atomic operations",
 	Run: run,
 }
@@ -78,9 +73,8 @@ const (
 
 // lockInfo is one held lock.
 type lockInfo struct {
-	pos   token.Pos // acquire site
-	guard string    // "X != nil" condition under which it is held, or ""
-	spin  bool      // true for spin windows (blocking check applies)
+	pos  token.Pos // acquire site
+	spin bool      // true for spin windows (blocking check applies)
 }
 
 // state maps lock key (a canonical expression spelling) to its info.
@@ -442,49 +436,24 @@ func (c *checker) walkIf(s *ast.IfStmt, st state) (state, bool) {
 	return c.join(s, thenOut, elseOut), false
 }
 
-// join merges two branch states.  Divergent locks are reported, except
-// for the guarded-pointer idiom: a lock acquired (or released) only under
-// an `X != nil` check of its own receiver stays in the state, tagged with
-// the guard, and a later branch under the same guard may release it.
+// join merges two branch states; a lock held on only one branch is
+// reported.
 func (c *checker) join(s *ast.IfStmt, thenOut, elseOut state) state {
 	if thenOut.equal(elseOut) {
 		return thenOut
 	}
-	guard := nilGuardSubject(s.Cond)
 	out := state{}
 	for k, v := range thenOut {
 		if _, ok := elseOut[k]; ok {
 			out[k] = v
 			continue
 		}
-		// Held only on the then branch.
-		if guard != "" && strings.HasPrefix(k, guard) {
-			v.guard = guard
-			out[k] = v
-			continue
-		}
-		if v.guard != "" && v.guard == guard {
-			// Was guarded, released under the matching guard: gone.
-			continue
-		}
 		c.reportOnce(v.pos, "lock %s is held on only one branch of the if statement at %s", k, c.pos(s.Pos()))
 	}
 	for k, v := range elseOut {
-		if _, ok := thenOut[k]; ok {
-			continue
+		if _, ok := thenOut[k]; !ok {
+			c.reportOnce(v.pos, "lock %s is held on only one branch of the if statement at %s", k, c.pos(s.Pos()))
 		}
-		// Held only when the guard is false — for a guarded lock released
-		// in the then branch under its own guard, the else state still
-		// holds it; keep the guarded entry.
-		if v.guard != "" && v.guard == guard {
-			continue
-		}
-		if guard != "" && strings.HasPrefix(k, guard) {
-			v.guard = guard
-			out[k] = v
-			continue
-		}
-		c.reportOnce(v.pos, "lock %s is held on only one branch of the if statement at %s", k, c.pos(s.Pos()))
 	}
 	return out
 }
@@ -681,16 +650,6 @@ func (c *checker) classifyCall(call *ast.CallExpr) lockOp {
 		}
 	}
 
-	if strings.Contains(strings.ToLower(tn), "bitlock") && len(call.Args) == 1 {
-		key := recvStr + "#" + types.ExprString(call.Args[0])
-		switch name {
-		case "acquire", "Acquire":
-			return lockOp{kind: opAcquire, keys: []string{key}, spin: true}
-		case "release", "Release":
-			return lockOp{kind: opRelease, keys: []string{key}}
-		}
-	}
-
 	if strings.Contains(strings.ToLower(tn), "endlock") && (name == "mark" || name == "Mark") && len(call.Args) >= 1 {
 		return lockOp{kind: opCondAcquire, keys: []string{types.ExprString(call.Args[0]) + ".v"}, spin: true}
 	}
@@ -853,26 +812,6 @@ func setsEndLockBit(pass *framework.Pass, e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// nilGuardSubject returns S for conditions of the form `S != nil`, else "".
-func nilGuardSubject(cond ast.Expr) string {
-	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || b.Op != token.NEQ {
-		return ""
-	}
-	if isNil(b.Y) {
-		return types.ExprString(b.X)
-	}
-	if isNil(b.X) {
-		return types.ExprString(b.Y)
-	}
-	return ""
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // boolTarget picks the assigned bool variable carrying a conditional

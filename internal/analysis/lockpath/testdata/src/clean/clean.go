@@ -1,7 +1,7 @@
 // Clean fixture: every window the analyzer tracks is balanced on all
 // paths, spin windows contain only raw atomic operations, and each of the
-// acknowledged idioms (defer, try-acquire, guarded striping, anchor mark,
-// ownership transfer) appears in its disciplined form.  The analyzer must
+// acknowledged idioms (defer, try-acquire, anchor mark, ownership
+// transfer) appears in its disciplined form.  The analyzer must
 // stay silent here.
 package clean
 
@@ -68,19 +68,6 @@ func mutexAlloc(n int) []int {
 	s := make([]int, n)
 	mu.Unlock()
 	return s
-}
-
-// The striped-mutex nil-guard idiom: the second stripe is acquired and
-// released under matching `m2 != nil` checks.
-func striped(m1, m2 *sync.Mutex) {
-	m1.Lock()
-	if m2 != nil {
-		m2.Lock()
-	}
-	if m2 != nil {
-		m2.Unlock()
-	}
-	m1.Unlock()
 }
 
 // The end-lock protocol: mark transfers a conditionally-held anchor to

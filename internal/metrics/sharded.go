@@ -184,8 +184,8 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram, the
-// shape the exporters (flat text, expvar JSON, Prometheus) all render
-// from.  Values are nanoseconds; quantiles are the bucket upper bounds
+// shape the Prometheus exposition and the JSON reports render from.
+// Values are nanoseconds; quantiles are the bucket upper bounds
 // Quantile reports.  Buckets carries the non-empty buckets for
 // full-distribution exposition and is excluded from JSON (the summary
 // quantiles are the JSON contract; Prometheus renders the buckets).

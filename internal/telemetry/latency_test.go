@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
 	"dcasdeque/internal/metrics"
@@ -135,98 +133,5 @@ func TestSchedLatencyStrings(t *testing.T) {
 		if k.String() != w {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), w)
 		}
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	sink := NewSink().EnableLatency()
-	sink.OpTimed(Right, Pushes, 0, metrics.Nanotime()-1000)
-	sink.OpTimed(Right, Pops, 2, metrics.Nanotime()-5000)
-	unDeque := Register("test_prom_deque", sink, nil, nil)
-	defer unDeque()
-
-	ss := NewSchedSink(2).EnableLatency()
-	ss.Inc(0, SchedRuns)
-	ss.Latency(0, SchedSubmitRun, 1500)
-	unSched := RegisterSched("test_prom_sched", ss)
-	defer unSched()
-
-	var b strings.Builder
-	WritePrometheus(&b)
-	body := b.String()
-	for _, want := range []string{
-		"# TYPE dcasdeque_ops_total counter",
-		`dcasdeque_ops_total{deque="test_prom_deque",end="right",counter="pushes"} 1`,
-		`dcasdeque_ops_total{deque="test_prom_deque",end="right",counter="retries"} 2`,
-		"# TYPE dcasdeque_op_latency_seconds histogram",
-		`dcasdeque_op_latency_seconds_count{deque="test_prom_deque",end="right"} 2`,
-		`dcasdeque_op_spin_latency_seconds_count{deque="test_prom_deque",end="right"} 1`,
-		`dcasdeque_op_latency_quantile_seconds{deque="test_prom_deque",end="right",quantile="0.99"}`,
-		`dcasdeque_sched_events_total{sched="test_prom_sched",event="runs"} 1`,
-		`dcasdeque_sched_latency_seconds_count{sched="test_prom_sched",kind="submit_run"} 1`,
-		`dcasdeque_sched_latency_seconds_bucket{sched="test_prom_sched",kind="submit_run",le="+Inf"} 1`,
-		`dcasdeque_sched_latency_quantile_seconds{sched="test_prom_sched",kind="submit_run",quantile="0.5"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if t.Failed() {
-		t.Logf("exposition:\n%s", body)
-	}
-}
-
-// TestPromHistogramCumulative checks the histogram rendering invariants
-// directly: `le` bounds strictly increasing, bucket counts cumulative
-// and monotone, and the +Inf bucket equal to _count.
-func TestPromHistogramCumulative(t *testing.T) {
-	h := metrics.NewShardedHistogram(1)
-	for i := uint64(1); i <= 10000; i += 7 {
-		h.RecordAt(0, i)
-	}
-	sn := h.Snapshot()
-	f := &promFamily{name: "x"}
-	promHistogram(f, `l="v"`, sn)
-	// Every sample line is "name{labels} value"; the value is the last
-	// space-separated field.
-	lastField := func(s string) uint64 {
-		i := strings.LastIndex(s, " ")
-		v, err := strconv.ParseUint(s[i+1:], 10, 64)
-		if err != nil {
-			t.Fatalf("parse value in %q: %v", s, err)
-		}
-		return v
-	}
-	var prevLe float64 = -1
-	var prevCum uint64
-	var infCount, count uint64
-	for _, s := range f.samples {
-		switch {
-		case strings.Contains(s, `le="+Inf"`):
-			infCount = lastField(s)
-		case strings.HasPrefix(s, "x_bucket{"):
-			i := strings.Index(s, `le="`) + len(`le="`)
-			j := strings.Index(s[i:], `"`)
-			le, err := strconv.ParseFloat(s[i:i+j], 64)
-			if err != nil {
-				t.Fatalf("parse le in %q: %v", s, err)
-			}
-			cum := lastField(s)
-			if le <= prevLe {
-				t.Fatalf("le not increasing: %v after %v", le, prevLe)
-			}
-			if cum < prevCum {
-				t.Fatalf("cumulative count decreased: %d after %d", cum, prevCum)
-			}
-			prevLe, prevCum = le, cum
-		case strings.HasPrefix(s, "x_count{"):
-			count = lastField(s)
-		}
-	}
-	if infCount != sn.N || count != sn.N {
-		t.Fatalf("+Inf=%d count=%d, want %d", infCount, count, sn.N)
-	}
-	if prevCum != sn.N {
-		t.Fatalf("last finite bucket %d, want all %d observations bucketed", prevCum, sn.N)
 	}
 }

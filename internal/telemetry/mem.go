@@ -9,7 +9,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 
 	"dcasdeque/internal/arena"
 )
@@ -82,16 +81,4 @@ func (m MemSnapshot) LiveBytes() uint64 {
 		b += m.Rings.Bytes
 	}
 	return b
-}
-
-// writeArenaText renders one arena ledger in the flat-text scrape format
-// under the given key prefix.
-func writeArenaText(b io.Writer, prefix string, o arena.Occupancy) {
-	fmt.Fprintf(b, "%s.allocs %d\n", prefix, o.Allocs)
-	fmt.Fprintf(b, "%s.frees %d\n", prefix, o.Frees)
-	fmt.Fprintf(b, "%s.retired %d\n", prefix, o.Retired)
-	fmt.Fprintf(b, "%s.live %d\n", prefix, o.Live)
-	fmt.Fprintf(b, "%s.high_water %d\n", prefix, o.HighWater)
-	fmt.Fprintf(b, "%s.slabs %d\n", prefix, o.Slabs)
-	fmt.Fprintf(b, "%s.slab_bytes %d\n", prefix, o.SlabBytes)
 }

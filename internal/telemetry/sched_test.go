@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -78,50 +75,43 @@ func TestSchedExporter(t *testing.T) {
 	unregister := RegisterSched("test_exporter_sched", s)
 	defer unregister()
 
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	body := rec.Body.String()
+	body := scrape(t)
 	for _, want := range []string{
-		"test_exporter_sched.sched.runs 1",
-		"test_exporter_sched.sched.steals 1",
-		"test_exporter_sched.sched.stolen 3",
-		"test_exporter_sched.sched.submits 1",
-		"test_exporter_sched.sched.w0.runs 1",
-		"test_exporter_sched.sched.w1.stolen 3",
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="0",event="runs"} 1`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="1",event="steals"} 1`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="1",event="stolen"} 3`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="external",event="submits"} 1`,
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("exporter text missing %q:\n%s", want, body)
+			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
-	// A scheduler entry must not emit deque counter lines.
-	if strings.Contains(body, "test_exporter_sched.left.") ||
-		strings.Contains(body, "test_exporter_sched.ref.") {
-		t.Errorf("scheduler entry leaked deque lines:\n%s", body)
+	// The scheduler's totals are the sums over its worker series.
+	samples := parseSamples(t, body)
+	for ev, want := range map[string]float64{"runs": 1, "steals": 1, "stolen": 3, "submits": 1} {
+		if v, _ := sumOf(samples, "dcasdeque_sched_events_total",
+			map[string]string{"sched": "test_exporter_sched", "event": ev}); v != want {
+			t.Errorf("sum of %s = %v, want %v", ev, v, want)
+		}
+	}
+	// A scheduler entry must not emit deque series.
+	if strings.Contains(body, `deque="test_exporter_sched"`) {
+		t.Errorf("scheduler entry leaked deque series:\n%s", body)
 	}
 
-	v := expvar.Get("dcasdeque")
-	if v == nil {
-		t.Fatal("expvar \"dcasdeque\" not published")
-	}
-	var decoded map[string]exportEntry
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar JSON: %v\n%s", err, v.String())
-	}
-	e, ok := decoded["test_exporter_sched"]
+	e, ok := snapshotAll()["test_exporter_sched"]
 	if !ok {
-		t.Fatalf("expvar JSON missing scheduler entry: %s", v.String())
+		t.Fatal("snapshot missing scheduler entry")
 	}
 	if e.Sched == nil || e.Sched.Total.Stolen != 3 || len(e.Sched.Workers) != 2 {
-		t.Fatalf("expvar sched = %+v", e.Sched)
+		t.Fatalf("snapshot sched = %+v", e.Sched)
 	}
 	if e.Telemetry != nil {
 		t.Fatalf("scheduler entry carries deque telemetry: %+v", e.Telemetry)
 	}
 
 	unregister()
-	rec = httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if strings.Contains(rec.Body.String(), "test_exporter_sched") {
+	if strings.Contains(scrape(t), "test_exporter_sched") {
 		t.Fatal("entry still exported after unregister")
 	}
 }

@@ -16,7 +16,6 @@ package telemetry
 // after every randomized run.
 
 import (
-	"expvar"
 	"sync/atomic"
 
 	"dcasdeque/internal/dcas"
@@ -259,8 +258,5 @@ func (s *ServeSink) Snapshot() ServeSnapshot {
 // alongside the deques and schedulers, with the same replace/unregister
 // semantics as Register.
 func RegisterServe(name string, sink *ServeSink) func() {
-	publishOnce.Do(func() {
-		expvar.Publish("dcasdeque", expvar.Func(exportAll))
-	})
 	return register(name, &entry{serve: sink})
 }

@@ -2,7 +2,7 @@
 // sharded, per-deque operation counters attributed to the deque end they
 // occurred on, plus a bounded flight recorder (flight.go) whose dumps the
 // linearizability checker can replay (replay.go) and a stdlib-only
-// expvar/HTTP exporter (expvar.go).
+// Prometheus text exporter (registry.go, prometheus.go).
 //
 // The paper proves that every operation linearizes at exactly one DCAS
 // (Section 5); at runtime that proof is invisible unless executions are

@@ -120,7 +120,9 @@ func TestSinkConcurrent(t *testing.T) {
 // TestShardDistribution checks the stack-address shard picker actually
 // spreads goroutines across stripes on a multi-shard sink.  (Statistical:
 // with 64 goroutines and ≥2 shards, all landing on one stripe would mean
-// the hash is degenerate.)
+// the hash is degenerate.)  Every goroutine stays alive at a barrier
+// until all have picked their shard, so each hashes its own live stack:
+// a goroutine that exited early would hand its stack to the next one.
 func TestShardDistribution(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("single-P schedule builds a 1-shard sink")
@@ -129,9 +131,11 @@ func TestShardDistribution(t *testing.T) {
 	if len(s.shards) < 2 {
 		t.Skip("sink has one shard")
 	}
-	var wg sync.WaitGroup
+	var picked, wg sync.WaitGroup
+	release := make(chan struct{})
 	hit := make([]int, 64)
 	for g := 0; g < 64; g++ {
+		picked.Add(1)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -141,8 +145,12 @@ func TestShardDistribution(t *testing.T) {
 					hit[g] = i
 				}
 			}
+			picked.Done()
+			<-release
 		}(g)
 	}
+	picked.Wait()
+	close(release)
 	wg.Wait()
 	first := hit[0]
 	for _, h := range hit {

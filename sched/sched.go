@@ -198,8 +198,9 @@ func WithTelemetry() Option {
 }
 
 // WithTelemetryName enables telemetry and registers it under the given
-// name with the process-wide exporter (expvar "dcasdeque" and
-// deque.TelemetryHandler), like deque.WithTelemetryName.
+// name with the process-wide exporter (deque.PrometheusHandler, one
+// dcasdeque_sched_events_total series per worker and event), like
+// deque.WithTelemetryName.
 func WithTelemetryName(name string) Option {
 	return func(c *config) { c.telemetry = true; c.telemetryName = name }
 }

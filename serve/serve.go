@@ -31,8 +31,8 @@
 //
 // Each request's life is timed in four stages (ingest → submit → run →
 // respond) through sharded histograms, and the admission counters are
-// registered with the process-wide exporter, so /telemetry, /metrics
-// (Prometheus) and dequetop see the service with zero extra wiring.
+// registered with the process-wide exporter, so /metrics (Prometheus)
+// and dequetop see the service with zero extra wiring.
 package serve
 
 import (
@@ -110,9 +110,8 @@ func WithSchedOptions(opts ...sched.Option) Option {
 }
 
 // WithName registers the server's admission counters and stage
-// histograms under the given name with the process-wide exporter
-// (/telemetry flat text, expvar "dcasdeque", and /metrics Prometheus
-// families).
+// histograms under the given name with the process-wide exporter (the
+// /metrics Prometheus families).
 func WithName(name string) Option {
 	return func(c *config) { c.name = name }
 }
@@ -363,7 +362,7 @@ func (s *Server) task(p *pending) sched.Task {
 
 // Mux returns the server's full surface on one mux: the job API
 // (POST /jobs, GET /healthz) plus the shared exposition endpoints
-// (/telemetry, /metrics, /debug/pprof) from ExpositionMux.
+// (/metrics, /debug/pprof) from ExpositionMux.
 func (s *Server) Mux() *http.ServeMux {
 	mux := ExpositionMux()
 	mux.Handle("/jobs", s)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dcasdeque/deque"
 	"dcasdeque/sched"
 )
 
@@ -272,23 +273,20 @@ func TestDrainDeadlineReleasesWaiters(t *testing.T) {
 }
 
 func TestWeightedRoundRobinSchedule(t *testing.T) {
-	s := New(WithTenants(
-		TenantConfig{Name: "gold", Weight: 3, QueueCap: 64},
-		TenantConfig{Name: "free", Weight: 1, QueueCap: 64},
-	))
-	defer shutdown(t, s)
-	// Stop the pump from racing this test's direct queue access: fill
-	// queues by hand and run cycles with a capturing submit.
-	// (The live pump is parked: nothing has pinged notify.)
+	// cycle reads only s.tenants, so a bare Server with no pump running
+	// lets the test own the queues: fill them by hand and run cycles
+	// with a capturing submit.
+	s := &Server{tenants: []*tenant{
+		{name: "gold", weight: 3, queue: deque.NewArray[*pending](64)},
+		{name: "free", weight: 1, queue: deque.NewArray[*pending](64)},
+	}}
 	for i := 0; i < 6; i++ {
 		for _, tn := range s.tenants {
-			if err := tn.queue.PushRight(&pending{t: tn, done: make(chan result, 1)}); err != nil {
+			if err := tn.queue.PushRight(&pending{t: tn}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// The capture callback does not touch the ingress word: these
-	// pendings were stuffed in directly, never admitted.
 	var order []string
 	for cycle := 0; cycle < 2; cycle++ {
 		if !s.cycle(func(p *pending) { order = append(order, p.t.name) }) {
@@ -304,9 +302,6 @@ func TestWeightedRoundRobinSchedule(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
 		}
-	}
-	// Drain the leftovers so shutdown's pump exit finds empty queues.
-	for s.cycle(func(*pending) {}) {
 	}
 }
 
@@ -375,24 +370,15 @@ func TestExpositionMuxServesRegistry(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("jobs: %d", rr.Code)
 	}
-	tr := httptest.NewRecorder()
-	mux.ServeHTTP(tr, httptest.NewRequest("GET", "/telemetry", nil))
-	body := tr.Body.String()
-	for _, want := range []string{
-		"servetest.serve.total.received 1",
-		"servetest.serve.total.completed 1",
-		"servetest.serve.tenant.default.accepted 1",
-		"servetest.serve.lat.ingest.n 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("telemetry missing %q in:\n%s", want, body)
-		}
-	}
 	pr := httptest.NewRecorder()
 	mux.ServeHTTP(pr, httptest.NewRequest("GET", "/metrics", nil))
 	pbody := pr.Body.String()
+	// One tenant, so its series are also the server totals.
 	for _, want := range []string{
+		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="received"} 1`,
+		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="accepted"} 1`,
 		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="completed"} 1`,
+		`dcasdeque_serve_stage_latency_seconds_count{server="servetest",stage="ingest"} 1`,
 		`dcasdeque_serve_stage_latency_seconds_count{server="servetest",stage="run"} 1`,
 	} {
 		if !strings.Contains(pbody, want) {
@@ -401,9 +387,9 @@ func TestExpositionMuxServesRegistry(t *testing.T) {
 	}
 	// Unregistration on shutdown: the entry disappears.
 	shutdown(t, s)
-	tr2 := httptest.NewRecorder()
-	mux.ServeHTTP(tr2, httptest.NewRequest("GET", "/telemetry", nil))
-	if strings.Contains(tr2.Body.String(), "servetest.serve") {
+	pr2 := httptest.NewRecorder()
+	mux.ServeHTTP(pr2, httptest.NewRequest("GET", "/metrics", nil))
+	if strings.Contains(pr2.Body.String(), `server="servetest"`) {
 		t.Fatal("serve entry still registered after Shutdown")
 	}
 }
