@@ -15,6 +15,9 @@ import "sync/atomic"
 // is the one whose stack and deque metadata are still warm, so it is
 // the one a wakeup should restart.
 type idleStack struct {
+	// head is the stack's only contended word.  padlayout compares fields
+	// within one struct, so the isolation is declared on Scheduler.idle,
+	// and head stays first so that field's offset is head's.
 	//dequevet:packed id:32 tag:32
 	head atomic.Uint64
 	next []atomic.Uint32

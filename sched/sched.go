@@ -32,14 +32,21 @@
 // side always observes the other and no wakeup is lost.
 //
 // Submission and shutdown linearize on a single "life" word holding a
-// drain bit and the count of accepted-but-unfinished tasks: Submit
-// joins via CAS (failing once the drain bit is set), tasks spawned by
-// running tasks join via unconditional increment (their parent's count
-// keeps the word live), and the decrement that moves the word to
-// "draining, zero pending" wakes every parked worker so they observe
-// quiescence and exit.  Shutdown(ctx) therefore drains: every task
-// accepted before shutdown — and everything those tasks transitively
-// spawn — runs exactly once before the workers stop.
+// drain bit and a pending count: Submit joins via CAS (failing once the
+// drain bit is set).  Spawned tasks do not touch the word one by one:
+// each worker holds a private credit of pending units, taken from the
+// word in batches, which Spawn spends and finished tasks refill, so the
+// count is unfinished tasks plus outstanding credit.  A worker returns
+// its credit before it checks for quiescence or parks, and the update
+// that moves the word to "draining, zero pending" wakes every parked
+// worker so they observe quiescence and exit.  Shutdown(ctx) therefore
+// drains: every task accepted before shutdown — and everything those
+// tasks transitively spawn — runs exactly once before the workers stop.
+//
+// Worker.Spawn must be called from the goroutine running the task that
+// received the Worker: the credit and the worker deque's owner end
+// (which the Chase–Lev backend reserves to one goroutine) are both
+// owner-only.
 package sched
 
 import (
@@ -223,15 +230,26 @@ type paddedCount struct {
 
 // Scheduler is a work-stealing executor.  Create with New; all methods
 // are safe for concurrent use.
+//
+// The fields form four groups, each in its own false-sharing range
+// (dcas.FalseSharingRange): the read-mostly header that every task
+// reads, the injector size, the life word, and the idle stack.  The
+// last three are written from whichever core submits, steals or parks;
+// sharing a line would make every such write a miss on the other core's
+// next read of its neighbour — every Spawn reads the idle-stack head.
+//
+// The life word's pending count is not the number of unfinished tasks
+// but that number plus every worker's credit (Worker.credit): the tasks
+// Submit accepted (one unit each, by acquire's CAS) and the credit the
+// workers took in batches to spawn with.  Both terms are non-negative,
+// so the word lands on exactly drainBit only when no task is pending and
+// every worker has flushed its credit back; a worker flushes before each
+// quiescence check and before it parks, so a parked worker holds none.
 type Scheduler struct {
 	cfg      config
 	workers  []*Worker
 	injector deque.Deque[Task]
 	sizes    []paddedCount // sizes[i] ≈ len(worker i's deque), for victim selection
-	injSize  atomic.Int64  // ≈ len(injector)
-	//dequevet:packed pending:63 drain:1
-	life     atomic.Uint64
-	idle     idleStack
 	sink     *telemetry.SchedSink
 	lat      bool // sink non-nil with latency enabled: stamp lifecycles
 	tracing  bool // WithTracing: emit runtime/trace tasks and regions
@@ -239,6 +257,18 @@ type Scheduler struct {
 	wg       sync.WaitGroup
 	done     chan struct{} // closed when every worker has exited
 	stopping sync.Once
+
+	_ dcas.CacheLinePad
+	//dequevet:contended written by every submission and injector drain
+	injSize atomic.Int64 // ≈ len(injector)
+	_       dcas.CacheLinePad
+	//dequevet:contended written by submissions, credit refills and flushes
+	//dequevet:packed pending:63 drain:1
+	life atomic.Uint64
+	_    dcas.CacheLinePad
+	//dequevet:contended its head word is CASed by park and wake, read by every Spawn
+	idle idleStack
+	_    dcas.CacheLinePad
 }
 
 // New builds a scheduler and starts its workers.  The workers park
@@ -322,9 +352,9 @@ func (s *Scheduler) acquire() bool {
 	}
 }
 
-// release retires one pending task.  The decrement that lands the word
-// on exactly drainBit is the moment of quiescence — it wakes every
-// parked worker so they observe it and exit.
+// release undoes acquire for a submission the injector refused.  The
+// decrement that lands the word on exactly drainBit is the moment of
+// quiescence — it wakes every parked worker so they observe it and exit.
 func (s *Scheduler) release() {
 	if s.life.Add(^uint64(0)) == drainBit {
 		s.wakeAll()
@@ -384,8 +414,9 @@ func (s *Scheduler) Submit(t Task) error {
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.stopping.Do(func() {
 		// Raise the drain bit, observing the pending count of the same
-		// instant: if nothing was pending right then, no release() will
-		// ever run to announce quiescence, so announce it here.
+		// instant: if nothing was pending right then, no release() or
+		// credit flush will ever run to announce quiescence, so announce
+		// it here.
 		//
 		// This stays a CAS loop instead of the one-line
 		// `old := s.life.Or(drainBit)` on purpose: the module's floor

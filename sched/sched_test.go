@@ -275,7 +275,7 @@ func TestKeepWakeParked(t *testing.T) {
 	// Simulate the tail of a batch steal: surplus re-pushed through
 	// keep(), exactly as a thief would.  The task is "already pending"
 	// from keep's point of view, so account for it on the life word the
-	// way the original Submit/Spawn would have.
+	// way Submit's acquire would have.
 	ran := make(chan int, 1)
 	s.life.Add(1)
 	s.workers[0].keep([]Task{func(w *Worker) { ran <- w.ID() }})

@@ -9,6 +9,13 @@ import (
 	"dcasdeque/internal/telemetry"
 )
 
+// creditBatch is how many pending units a worker takes from the life
+// word in one refill, and (doubled) the credit it may hold before it
+// returns the surplus.  Within a subtree a worker spawns about as many
+// tasks as it finishes, so the credit mostly circulates locally and the
+// shared word sees one RMW per creditBatch of imbalance, not two per task.
+const creditBatch = 64
+
 // Worker is one scheduler worker: a goroutine, its deque, and its
 // parking channel.  Tasks receive their executing Worker and may call
 // Spawn on it; no other methods are for task use.
@@ -18,6 +25,11 @@ type Worker struct {
 	dq   deque.Deque[Task]
 	rng  *rand.Rand
 	wake chan struct{}
+	// credit is this worker's stock of pending units on the life word
+	// that no task holds yet (the invariant is on Scheduler): Spawn
+	// spends one, a finished task returns one.  Only the goroutine
+	// running this worker touches it, so it is a plain field.
+	credit uint64
 }
 
 func newWorker(s *Scheduler, id int, dq deque.Deque[Task]) *Worker {
@@ -44,15 +56,24 @@ func (w *Worker) size() *atomic.Int64 { return &w.s.sizes[w.id].v }
 
 // Spawn schedules a subtask from a running task: push to the owner's
 // right end (LIFO), overflowing to the injector and finally to inline
-// execution — a spawned task is never dropped.  The parent task's
-// pending count covers the life-word increment, so Spawn needs no
-// drain check: work spawned during a drain is part of the drain.
+// execution — a spawned task is never dropped.  Spawn must be called
+// from the goroutine running the task that received w, never from a
+// goroutine the task started: the worker's credit and its deque's owner
+// end are both single-owner.  The new task's pending unit comes out of
+// the worker's credit, refilled from the life word when empty; the
+// running parent's own unit keeps the word above quiescence meanwhile,
+// so Spawn needs no drain check: work spawned during a drain is part of
+// the drain.
 func (w *Worker) Spawn(t Task) {
 	if t == nil {
 		panic("sched: nil task")
 	}
 	s := w.s
-	s.life.Add(1)
+	if w.credit == 0 {
+		s.life.Add(creditBatch)
+		w.credit = creditBatch
+	}
+	w.credit--
 	s.note(w.id, telemetry.SchedSpawns)
 	t = s.stamp(t, telemetry.SchedSubmitRun)
 	if err := w.dq.PushRight(t); err == nil {
@@ -68,11 +89,17 @@ func (w *Worker) Spawn(t Task) {
 	w.runTask(t) // everything full: run inline, the standard overflow response
 }
 
-// runTask executes one task and retires its pending count.
+// runTask executes one task and returns its pending unit to the
+// worker's credit.  Credit above 2×creditBatch goes back to the life
+// word down to creditBatch; that return can never land the word on
+// drainBit, since the credit kept is still counted in it.
 func (w *Worker) runTask(t Task) {
 	w.s.note(w.id, telemetry.SchedRuns)
 	t(w)
-	w.s.release()
+	if w.credit++; w.credit > 2*creditBatch {
+		w.s.life.Add(-(w.credit - creditBatch))
+		w.credit = creditBatch
+	}
 }
 
 // loop is the worker lifecycle: run work while it lasts, then
@@ -86,6 +113,14 @@ func (w *Worker) loop() {
 			misses = 0
 			w.runTask(t)
 			continue
+		}
+		// Flush the credit before the quiescence check: held credit keeps
+		// the word off drainBit, and a worker that parks must hold none.
+		// If the flush lands the word on drainBit, the check below sees it
+		// and this worker announces quiescence.
+		if w.credit != 0 {
+			w.s.life.Add(-w.credit)
+			w.credit = 0
 		}
 		if w.s.quiesced() {
 			w.s.wakeAll() // chain the announcement to still-parked workers
