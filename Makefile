@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race check vet-fixtures sched-stress sched-bench chaselev-bench latobs-bench soak-smoke soak serve-smoke serve-stress serve-bench
+.PHONY: all build lint test race check vet-fixtures sched-stress sched-bench latobs-bench soak-smoke soak serve-smoke serve-stress serve-bench
 
 all: check
 
@@ -32,14 +32,10 @@ race:
 sched-stress:
 	$(GO) run -race ./cmd/dequestress -sched -sched-runs 300
 
-# Scheduler throughput benchmark: workloads × deque backends × worker
-# counts, written to BENCH_PR5.json.
+# Scheduler throughput benchmark: workloads × deque backends (chaselev
+# included) × worker counts, written to BENCH_PR6.json.  One grid serves
+# both EXPERIMENTS.md SCHED and CHASELEV.
 sched-bench:
-	$(GO) run ./cmd/dequebench -exp sched -workers 1,2,4,8 -json BENCH_PR5.json
-
-# Chase–Lev head-to-head: the same sched grid (the backend set includes
-# chaselev), committed as BENCH_PR6.json (EXPERIMENTS.md CHASELEV).
-chaselev-bench:
 	$(GO) run ./cmd/dequebench -exp sched -ops 50000 -workers 1,2,4,8 -json BENCH_PR6.json
 
 # Latency observability pricing: deque cells at off/telem/lat and sched

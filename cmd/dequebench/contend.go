@@ -26,14 +26,13 @@ import (
 // Three configurations of the same array-deque algorithm are compared:
 //
 //   - engineered: anchored in-word DCAS (dcas.EndLock — three locked
-//     read-modify-writes per DCAS) plus retry backoff — the array
-//     deque's default substrate;
+//     read-modify-writes per DCAS) — the array deque's default substrate;
 //   - twolock-spin: the general per-location spinlock emulation
 //     (dcas.Default()), the baseline;
 //   - global-lock: one mutex for all DCAS, the coarse lower bound.
 //
 // Throughput is the median of several untimed trials; latency quantiles
-// and DCAS/backoff counters come from one separately instrumented trial so
+// and DCAS counters come from one separately instrumented trial so
 // that per-operation timing never pollutes the throughput numbers.
 const (
 	contendCap     = 64
@@ -62,11 +61,8 @@ func contendVariants() []contendVariant {
 		// cross-core line traffic to avoid), and the end indices already
 		// sit on private lines via the struct layout.
 		{"engineered", "endlock", func(st *dcas.Stats) *arraydeque.Deque {
-			bo := dcas.DefaultBackoff()
-			bo.Stats = st
 			return arraydeque.New(contendCap,
-				arraydeque.WithProvider(wrap(new(dcas.EndLock), st)),
-				arraydeque.WithBackoff(bo))
+				arraydeque.WithProvider(wrap(new(dcas.EndLock), st)))
 		}},
 		{"twolock-spin", "twolock", func(st *dcas.Stats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
@@ -84,17 +80,15 @@ func contendVariants() []contendVariant {
 // experiment so JSON consumers can join rows across experiments without
 // per-experiment field aliases.
 type contendCell struct {
-	Backend       string    `json:"backend"`
-	Provider      string    `json:"provider"`
-	Workers       int       `json:"workers"`
-	OpsPerSec     float64   `json:"ops_per_sec"` // median of Trials
-	Trials        []float64 `json:"trials_ops_per_sec"`
-	P50Ns         uint64    `json:"latency_p50_ns"`
-	P99Ns         uint64    `json:"latency_p99_ns"`
-	DcasAttempts  uint64    `json:"dcas_attempts"`
-	DcasFailures  uint64    `json:"dcas_failures"`
-	BackoffSpins  uint64    `json:"backoff_spins"`
-	BackoffYields uint64    `json:"backoff_yields"`
+	Backend      string    `json:"backend"`
+	Provider     string    `json:"provider"`
+	Workers      int       `json:"workers"`
+	OpsPerSec    float64   `json:"ops_per_sec"` // median of Trials
+	Trials       []float64 `json:"trials_ops_per_sec"`
+	P50Ns        uint64    `json:"latency_p50_ns"`
+	P99Ns        uint64    `json:"latency_p99_ns"`
+	DcasAttempts uint64    `json:"dcas_attempts"`
+	DcasFailures uint64    `json:"dcas_failures"`
 }
 
 // contendReport is the full machine-readable result written by -json.
@@ -225,7 +219,7 @@ func expContend(o io, ops int, workers []int) {
 	rep.Env.NumCPU = runtime.NumCPU()
 	rep.Env.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
-	t := metrics.NewTable("backend", "workers", "ops/s", "p50(ns)", "p99(ns)", "dcas-failed", "yields")
+	t := metrics.NewTable("backend", "workers", "ops/s", "p50(ns)", "p99(ns)", "dcas-failed")
 	baseline := map[int]float64{}
 	engineered := map[int]float64{}
 	for _, w := range workers {
@@ -269,8 +263,6 @@ func expContend(o io, ops int, workers []int) {
 			cell.P99Ns = h.Quantile(0.99)
 			cell.DcasAttempts = st.Attempts.Load()
 			cell.DcasFailures = st.Failures.Load()
-			cell.BackoffSpins = st.BackoffSpins.Load()
-			cell.BackoffYields = st.BackoffYields.Load()
 			rep.Cells = append(rep.Cells, *cell)
 			switch v.name {
 			case "twolock-spin":
@@ -279,7 +271,7 @@ func expContend(o io, ops int, workers []int) {
 				engineered[w] = cell.OpsPerSec
 			}
 			t.AddRow(v.name, w, cell.OpsPerSec, cell.P50Ns, cell.P99Ns,
-				cell.DcasFailures, cell.BackoffYields)
+				cell.DcasFailures)
 		}
 		if baseline[w] > 0 {
 			rep.Speedup = append(rep.Speedup, struct {
@@ -330,9 +322,7 @@ func stealBackends() []struct {
 		mk   func() workload.Deque
 	}{
 		{"array-engineered", func() workload.Deque {
-			return arraydeque.New(contendStealCap,
-				arraydeque.WithProvider(new(dcas.EndLock)),
-				arraydeque.WithBackoff(dcas.DefaultBackoff()))
+			return arraydeque.New(contendStealCap)
 		}},
 		{"list", func() workload.Deque { return listdeque.New() }},
 		{"chaselev", func() workload.Deque { return chaselev.New() }},

@@ -21,7 +21,8 @@ import (
 // spawn-to-run latency and park/wake churn.  Every workload self-checks
 // its exact task count, so each cell is also a conservation check.
 //
-// With -json this writes BENCH_PR5.json.
+// With -json this writes the report that CI and make sched-bench commit
+// as BENCH_PR6.json.
 const (
 	schedTrials   = 3
 	schedFibN     = 21  // 2·fib(22)−1 = 35421 tasks per run
@@ -91,7 +92,7 @@ type schedCell struct {
 }
 
 // schedReport is the machine-readable result written by -json
-// (BENCH_PR5.json in CI).
+// (BENCH_PR6.json in CI).
 type schedReport struct {
 	Experiment string `json:"experiment"`
 	Command    string `json:"command"`

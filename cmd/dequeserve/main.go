@@ -52,6 +52,17 @@ var (
 	nameFlag     = flag.String("name", "dequeserve", "telemetry registration name")
 )
 
+// Connection time bounds.  A client gets readHeaderTimeout to send its
+// headers and readTimeout for the whole request, body included; an idle
+// keep-alive connection is closed after idleTimeout.  There is no write
+// timeout: an admitted request legitimately waits in its tenant queue
+// under overload, and the response is written only when its job is done.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	flag.Parse()
 	log.SetPrefix("dequeserve: ")
@@ -91,7 +102,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	hs := &http.Server{Handler: s.Mux()}
+	hs := &http.Server{
+		Handler:           s.Mux(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)

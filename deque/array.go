@@ -28,31 +28,16 @@ func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var prov dcas.Provider // nil: the core's inlined EndLock default
-	if cfg.globalLockDCAS {
-		prov = new(dcas.GlobalLock)
-	}
 	var inst *instruments
+	var coreOpts []arraydeque.Option // none: the core's inlined EndLock default
 	if cfg.telemetry {
-		if prov == nil {
-			// Counting DCAS attempts needs a wrapped provider, which the
-			// core drives through the generic (non-inlined) path.
-			prov = new(dcas.EndLock)
-		}
+		// Counting DCAS attempts needs a wrapped provider, which the core
+		// drives through the generic (non-inlined) path.
 		inst = newInstruments(cfg.telemetryName, cfg.latency)
-		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
-	}
-	coreOpts := []arraydeque.Option{
-		arraydeque.WithStrongDCAS(cfg.strongDCAS),
-		arraydeque.WithRecheckIndex(cfg.recheckIndex),
-		arraydeque.WithPaddedCells(cfg.paddedCells),
-		arraydeque.WithBackoff(cfg.backoff),
-	}
-	if prov != nil {
-		coreOpts = append(coreOpts, arraydeque.WithProvider(prov))
-	}
-	if inst != nil {
-		coreOpts = append(coreOpts, arraydeque.WithTelemetry(inst.sink))
+		coreOpts = []arraydeque.Option{
+			arraydeque.WithProvider(dcas.InstrumentedAttr(new(dcas.EndLock), inst.dcas)),
+			arraydeque.WithTelemetry(inst.sink),
+		}
 	}
 	// The slot arena needs headroom beyond capacity: a push allocates its
 	// slot before discovering the deque is full, so slots for concurrent

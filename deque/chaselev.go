@@ -40,28 +40,20 @@ type ChaseLev[T any] struct {
 
 // NewChaseLev returns an empty Chase–Lev work-stealing deque.  It is
 // unbounded up to the arena's maxNodes bound (default 1<<20, settable
-// with WithMaxNodes).  The telemetry, backoff and max-nodes options
-// apply; the DCAS-emulation and algorithm-variant options are
-// meaningless for this backend and are ignored.
+// with WithMaxNodes).  The max-nodes, memory-bound and telemetry options
+// apply; WithDummyNodes and WithLFRC select list representations and are
+// ignored here.
 func NewChaseLev[T any](opts ...Option) *ChaseLev[T] {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
 	var inst *instruments
+	var coreOpts []chaselev.Option
 	if cfg.telemetry {
+		// There is no DCAS provider to instrument; the DCAS counters stay
+		// zero.
 		inst = newInstruments(cfg.telemetryName, cfg.latency)
-		if cfg.backoff != nil {
-			// Clone so this deque's backoff spins land in this deque's
-			// stats (the policy may be shared across deques).  There is no
-			// DCAS provider to instrument; the DCAS counters stay zero.
-			b := *cfg.backoff
-			b.Stats = &inst.dcas.Stats
-			cfg.backoff = &b
-		}
-	}
-	coreOpts := []chaselev.Option{chaselev.WithBackoff(cfg.backoff)}
-	if inst != nil {
 		coreOpts = append(coreOpts, chaselev.WithTelemetry(inst.sink))
 	}
 	d := &ChaseLev[T]{

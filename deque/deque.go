@@ -28,11 +28,7 @@
 // emulation itself.
 package deque
 
-import (
-	"errors"
-
-	"dcasdeque/internal/dcas"
-)
+import "errors"
 
 // Errors returned by deque operations, mirroring the sequential
 // specification's "empty" and "full" responses (Section 2.2).
@@ -85,104 +81,17 @@ type Deque[T any] interface {
 type Option func(*config)
 
 type config struct {
-	globalLockDCAS bool
-	strongDCAS     bool
-	recheckIndex   bool
-	nodeReuse      bool
-	eagerDelete    bool
-	dummyNodes     bool
-	lfrc           bool
-	paddedCells    bool
-	maxNodes       int
-	memBound       uint64
-	backoff        *dcas.BackoffPolicy
-	telemetry      bool
-	telemetryName  string
-	latency        bool
+	dummyNodes    bool
+	lfrc          bool
+	maxNodes      int
+	memBound      uint64
+	telemetry     bool
+	telemetryName string
+	latency       bool
 }
 
 func defaultConfig() config {
-	return config{
-		strongDCAS:   true,
-		recheckIndex: true,
-		nodeReuse:    true,
-		maxNodes:     1 << 20,
-	}
-}
-
-// WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation
-// instead of the default one (the anchored in-word EndLock for the array
-// deque, the per-location TwoLock for the list deques).  All DCAS
-// operations on the deque then serialize; useful only for measurement.
-// It is the only provider knob; the defaults were chosen by measurement
-// (DESIGN.md §6).
-func WithGlobalLockDCAS() Option {
-	return func(c *config) { c.globalLockDCAS = true }
-}
-
-// BackoffConfig tunes the bounded exponential backoff applied after a
-// failed operation attempt.  The zero value selects the library default
-// (spin briefly then yield; yield immediately when GOMAXPROCS is 1).
-type BackoffConfig struct {
-	// MinSpins is the initial spin bound; the bound doubles after each
-	// failed attempt.
-	MinSpins int
-	// MaxSpins caps the growing spin bound; beyond it the operation yields
-	// the processor instead of spinning.
-	MaxSpins int
-}
-
-// WithBackoff enables per-goroutine bounded exponential backoff with
-// jitter on the deque operations' DCAS-retry loops.  Without it a failed
-// attempt retries immediately, re-contending the very locations that just
-// caused the failure.
-func WithBackoff(cfg BackoffConfig) Option {
-	return func(c *config) {
-		if cfg == (BackoffConfig{}) {
-			c.backoff = dcas.DefaultBackoff()
-			return
-		}
-		c.backoff = &dcas.BackoffPolicy{
-			MinSpins: uint32(cfg.MinSpins),
-			MaxSpins: uint32(cfg.MaxSpins),
-		}
-	}
-}
-
-// WithPaddedCells spaces the array deque's cells so no two logical cells
-// share a false-sharing range, at the cost of 8× the array storage.  No
-// effect on the list deques, which already keep their always-hot sentinel
-// words on separate cache lines.
-func WithPaddedCells() Option {
-	return func(c *config) { c.paddedCells = true }
-}
-
-// WithoutStrongDCAS restricts the array deque to the weak (boolean) form
-// of DCAS, eliding the optional early-return optimization of lines 17–18
-// of the paper's Figures 2/3/30/31.  No effect on the list deque.
-func WithoutStrongDCAS() Option {
-	return func(c *config) { c.strongDCAS = false }
-}
-
-// WithoutIndexRecheck elides the optional line-7 index re-read of the
-// array algorithm.  No effect on the list deque.
-func WithoutIndexRecheck() Option {
-	return func(c *config) { c.recheckIndex = false }
-}
-
-// WithoutNodeReuse puts the list deque's node arena in gc mode: node
-// storage is never recycled during the deque's lifetime, matching the
-// paper's garbage-collection assumption exactly (at the cost of memory
-// growth proportional to total pushes).  No effect on the array deque.
-func WithoutNodeReuse() Option {
-	return func(c *config) { c.nodeReuse = false }
-}
-
-// WithEagerDelete makes list-deque pops complete their physical deletion
-// before returning (the paper's footnote 6 variant) instead of leaving it
-// to the next operation on that side.  No effect on the array deque.
-func WithEagerDelete() Option {
-	return func(c *config) { c.eagerDelete = true }
+	return config{maxNodes: 1 << 20}
 }
 
 // WithMaxNodes bounds the list and Chase–Lev deques' element arenas

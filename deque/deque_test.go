@@ -7,22 +7,46 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"dcasdeque/internal/arena"
+	"dcasdeque/internal/core/arraydeque"
+	"dcasdeque/internal/core/listdeque"
+	"dcasdeque/internal/dcas"
 )
 
 // implementations returns fresh instances of every Deque[int]
-// implementation at a given capacity, keyed by name.
+// implementation at a given capacity, keyed by name.  The weak,
+// globalLock, gc and eager cases run the paper's variants that the
+// constructors no longer offer, through the same public wrappers.
 func implementations(capacity int) map[string]Deque[int] {
 	return map[string]Deque[int]{
 		"Array":            NewArray[int](capacity),
-		"Array/weak":       NewArray[int](capacity, WithoutStrongDCAS()),
-		"Array/globalLock": NewArray[int](capacity, WithGlobalLockDCAS()),
+		"Array/weak":       arrayOn(capacity, arraydeque.WithStrongDCAS(false)),
+		"Array/globalLock": arrayOn(capacity, arraydeque.WithProvider(new(dcas.GlobalLock))),
 		"List":             NewList[int](WithMaxNodes(capacity * 100)),
-		"List/gc":          NewList[int](WithoutNodeReuse(), WithMaxNodes(1<<16)),
-		"List/eager":       NewList[int](WithEagerDelete()),
+		"List/gc":          listOn(1<<16, listdeque.WithNodeReuse(false)),
+		"List/eager":       listOn(1<<20, listdeque.WithEagerDelete(true)),
 		"List/dummy":       NewList[int](WithDummyNodes()),
 		"List/lfrc":        NewList[int](WithLFRC()),
 		"Mutex":            NewMutex[int](capacity),
 	}
+}
+
+// arrayOn is NewArray over an array core built with opts.
+func arrayOn(capacity int, opts ...arraydeque.Option) *Array[int] {
+	d := NewArray[int](capacity)
+	d.core = arraydeque.New(capacity, opts...)
+	return d
+}
+
+// listOn is NewList over a deleted-bit list core built with opts; a gc
+// mode core gets a gc mode slot arena to match.
+func listOn(maxNodes int, opts ...listdeque.Option) *List[int] {
+	d := NewList[int](WithMaxNodes(maxNodes))
+	core := listdeque.New(append(opts, listdeque.WithMaxNodes(maxNodes+2))...)
+	d.core = core
+	d.slots = arena.New[int](maxNodes, arena.WithReuse(core.Arena().Reusing()))
+	return d
 }
 
 func TestBasicSemantics(t *testing.T) {

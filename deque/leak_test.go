@@ -3,6 +3,8 @@ package deque
 import (
 	"errors"
 	"testing"
+
+	"dcasdeque/internal/core/listdeque"
 )
 
 // memDeque is the slice of the API the leak tests need: operations plus
@@ -21,7 +23,7 @@ func leakBackends(t *testing.T, opts ...Option) map[string]memDeque {
 		"list":     NewList[int](opts...),
 		"dummy":    NewList[int](append(opts, WithDummyNodes())...),
 		"lfrc":     NewList[int](append(opts, WithLFRC())...),
-		"gc-mode":  NewList[int](append(opts, WithoutNodeReuse())...),
+		"gc-mode":  listOn(1<<20, listdeque.WithNodeReuse(false)),
 		"chaselev": NewChaseLev[int](opts...),
 		"mutex":    NewMutex[int](256, opts...),
 	}

@@ -44,7 +44,6 @@ type List[T any] struct {
 // logical-deletion mark is carried by indirection through "delete-bit"
 // dummy nodes instead of a flag bit packed into the sentinel pointers.
 // Semantically identical; exists for hardware without spare pointer bits.
-// Incompatible with WithEagerDelete (ignored if both are given).
 func WithDummyNodes() Option {
 	return func(c *config) { c.dummyNodes = true }
 }
@@ -53,8 +52,8 @@ func WithDummyNodes() Option {
 // (the methodology of the paper's reference [12]): every node carries a
 // count of shared and local references and is reclaimed deterministically
 // when the last one disappears, instead of relying on the arena's gc or
-// tagged-reuse modes.  Incompatible with WithEagerDelete and
-// WithDummyNodes (LFRC wins if combined).
+// tagged-reuse modes.  Incompatible with WithDummyNodes (LFRC wins if
+// combined).
 func WithLFRC() Option {
 	return func(c *config) { c.lfrc = true }
 }
@@ -66,25 +65,15 @@ func NewList[T any](opts ...Option) *List[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var prov dcas.Provider // nil: dcas.Default(), the per-location TwoLock
-	if cfg.globalLockDCAS {
-		prov = new(dcas.GlobalLock)
-	}
 	var inst *instruments
-	if cfg.telemetry {
-		inst = newInstruments(cfg.telemetryName, cfg.latency)
-		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
-	}
 	coreOpts := []listdeque.Option{
 		listdeque.WithMaxNodes(cfg.maxNodes + 2), // + the two sentinels
-		listdeque.WithNodeReuse(cfg.nodeReuse),
-		listdeque.WithBackoff(cfg.backoff),
 	}
-	if prov != nil {
-		coreOpts = append(coreOpts, listdeque.WithProvider(prov))
-	}
-	if inst != nil {
-		coreOpts = append(coreOpts, listdeque.WithTelemetry(inst.sink))
+	if cfg.telemetry {
+		inst = newInstruments(cfg.telemetryName, cfg.latency)
+		coreOpts = append(coreOpts,
+			listdeque.WithProvider(dcas.InstrumentedAttr(dcas.Default(), inst.dcas)),
+			listdeque.WithTelemetry(inst.sink))
 	}
 	var core listCore
 	switch {
@@ -93,12 +82,11 @@ func NewList[T any](opts ...Option) *List[T] {
 	case cfg.dummyNodes:
 		core = listdeque.NewDummy(coreOpts...)
 	default:
-		core = listdeque.New(append(coreOpts,
-			listdeque.WithEagerDelete(cfg.eagerDelete))...)
+		core = listdeque.New(coreOpts...)
 	}
 	d := &List[T]{
 		core:      core,
-		slots:     arena.New[T](cfg.maxNodes, arena.WithReuse(cfg.nodeReuse)),
+		slots:     arena.New[T](cfg.maxNodes),
 		lfrc:      cfg.lfrc,
 		bound:     cfg.memBound,
 		nodeBytes: core.Occupancy().SlotBytes,

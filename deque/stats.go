@@ -80,14 +80,11 @@ type RefStats struct {
 }
 
 // DCASStats are the deque's DCAS substrate counters: every double-word
-// attempt the deque issued, how many failed, and the backoff work those
-// failures caused (spins/yields are zero unless WithBackoff is set).
+// attempt the deque issued and how many failed.
 type DCASStats struct {
-	Attempts      uint64 `json:"attempts"`
-	Failures      uint64 `json:"failures"`
-	Successes     uint64 `json:"successes"`
-	BackoffSpins  uint64 `json:"backoff_spins"`
-	BackoffYields uint64 `json:"backoff_yields"`
+	Attempts  uint64 `json:"attempts"`
+	Failures  uint64 `json:"failures"`
+	Successes uint64 `json:"successes"`
 }
 
 // LocationStats attribute DCAS traffic to one shared location word.  ID
@@ -202,13 +199,7 @@ func (in *instruments) stats() Stats {
 		Left:  EndStats(sn.Left),
 		Right: EndStats(sn.Right),
 		Ref:   RefStats(sn.Ref),
-		DCAS: DCASStats{
-			Attempts:      dn.Attempts,
-			Failures:      dn.Failures,
-			Successes:     dn.Successes,
-			BackoffSpins:  dn.BackoffSpins,
-			BackoffYields: dn.BackoffYields,
-		},
+		DCAS:  DCASStats(dn),
 	}
 	for _, l := range in.dcas.PerLocation() {
 		st.Locations = append(st.Locations, LocationStats(l))
@@ -238,24 +229,4 @@ func (in *instruments) close() {
 	if in != nil && in.unregister != nil {
 		in.unregister()
 	}
-}
-
-// instrument wraps the DCAS provider a core will use so every attempt is
-// counted and attributed, and attaches the backoff policy's spin/yield
-// counters to the same stats block.  It returns the provider to install
-// (never nil) and the backoff policy to install (nil stays nil: backoff
-// remains opt-in under telemetry).
-func (in *instruments) instrument(prov dcas.Provider, bo *dcas.BackoffPolicy) (dcas.Provider, *dcas.BackoffPolicy) {
-	if prov == nil {
-		prov = dcas.Default()
-	}
-	prov = dcas.InstrumentedAttr(prov, in.dcas)
-	if bo != nil {
-		// Clone: the caller's policy may be shared across deques, and this
-		// deque's spins must land in this deque's stats.
-		b := *bo
-		b.Stats = &in.dcas.Stats
-		bo = &b
-	}
-	return prov, bo
 }

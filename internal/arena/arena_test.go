@@ -79,6 +79,32 @@ func TestGCModeNeverRecycles(t *testing.T) {
 	}
 }
 
+// TestGCModeLedgerRetires checks the gc-mode side of the occupancy
+// ledger: a Free retires its slot instead of recycling it, so frees
+// stays zero, retired counts every release, and the conservation law
+// holds with a nonzero retired term.
+func TestGCModeLedgerRetires(t *testing.T) {
+	a := New[int](8, WithReuse(false))
+	for i := 0; i < 5; i++ {
+		idx, ok := a.Alloc()
+		if !ok {
+			t.Fatalf("Alloc %d failed with capacity remaining", i)
+		}
+		a.Free(idx)
+	}
+	if _, ok := a.Alloc(); !ok {
+		t.Fatal("Alloc failed with capacity remaining")
+	}
+	o := a.Occupancy()
+	if o.Allocs != 6 || o.Retired != 5 || o.Frees != 0 || o.Live != 1 {
+		t.Fatalf("ledger allocs=%d retired=%d frees=%d live=%d, want 6/5/0/1",
+			o.Allocs, o.Retired, o.Frees, o.Live)
+	}
+	if err := o.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGenerationAdvancesOnFree(t *testing.T) {
 	a := New[int](2)
 	idx, _ := a.Alloc()

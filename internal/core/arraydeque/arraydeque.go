@@ -68,7 +68,6 @@ type Deque struct {
 	shift uint // log₂ cell stride in s: 0 packed, cellShift padded
 	s     []dcas.Loc
 
-	backoff      *dcas.BackoffPolicy
 	recheckIndex bool
 	strongDCAS   bool
 	tel          *telemetry.Sink
@@ -98,7 +97,6 @@ type Option func(*options)
 
 type options struct {
 	prov         dcas.Provider
-	backoff      *dcas.BackoffPolicy
 	recheckIndex bool
 	strongDCAS   bool
 	paddedCells  bool
@@ -128,14 +126,6 @@ func WithRecheckIndex(on bool) Option {
 // cell i±1.  It costs 8× the array storage.  Default off.
 func WithPaddedCells(on bool) Option {
 	return func(o *options) { o.paddedCells = on }
-}
-
-// WithBackoff installs a bounded-exponential-backoff policy applied after
-// every failed operation attempt (a DCAS that lost to a competitor, or an
-// index recheck that observed the end moving).  A nil policy — the default
-// — retries immediately.
-func WithBackoff(p *dcas.BackoffPolicy) Option {
-	return func(o *options) { o.backoff = p }
 }
 
 // WithTelemetry attaches a telemetry sink: every completed operation is
@@ -171,7 +161,6 @@ func New(n int, opts ...Option) *Deque {
 	d := &Deque{
 		prov:         o.prov,
 		n:            uint64(n),
-		backoff:      o.backoff,
 		recheckIndex: o.recheckIndex,
 		strongDCAS:   o.strongDCAS,
 		tel:          o.tel,
@@ -241,7 +230,6 @@ func (d *Deque) dec(i uint64) uint64 {
 // empty at the operation's linearization point.
 func (d *Deque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := d.endLoad(&d.r) // line 3
@@ -314,7 +302,6 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -326,7 +313,6 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 		panic("arraydeque: cannot push the distinguished null value")
 	}
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := d.endLoad(&d.r) // line 3
@@ -391,14 +377,12 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
 // PopLeft implements Figure 30, the mirror image of PopRight.
 func (d *Deque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := d.endLoad(&d.l) // line 3
@@ -466,7 +450,6 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -477,7 +460,6 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 		panic("arraydeque: cannot push the distinguished null value")
 	}
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := d.endLoad(&d.l) // line 3
@@ -542,6 +524,5 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }

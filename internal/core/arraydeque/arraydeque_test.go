@@ -19,6 +19,9 @@ func variants() map[string]func(n int) *Deque {
 		"EndLock/strong/recheck": func(n int) *Deque {
 			return New(n)
 		},
+		"EndLock/weak/recheck": func(n int) *Deque {
+			return New(n, WithStrongDCAS(false))
+		},
 		"EndLock/weak/norecheck": func(n int) *Deque {
 			return New(n, WithStrongDCAS(false), WithRecheckIndex(false))
 		},

@@ -5,24 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// This file provides the contention-management engine shared by the
-// spinlock slow path and the deque algorithms' DCAS-retry loops: bounded
-// exponential backoff with jitter.
+// This file provides the contention-management engine of the lock slow
+// paths — the spinlock's and EndLock's wait for a marked anchor: bounded
+// exponential backoff with jitter.  A waiter that re-polls the lock word
+// at full speed keeps the line bouncing between cores while the holder
+// needs it to release; each waiter instead pauses for a randomized,
+// exponentially growing, bounded interval between polls.
 //
-// The paper's machine model treats a failed DCAS as free to retry; on real
-// cache-coherent hardware (and on the software emulation) an immediate
-// retry re-contends the very lines that just caused the failure.  The
-// standard remedy from the practical non-blocking literature (Sundell &
-// Tsigas's single-word-CAS deques, the ABP work-stealing line) is for each
-// processor to wait a randomized, exponentially growing, bounded interval
-// after a failed primitive before retrying.
+// The deque algorithms' own retry loops do not back off: a failed DCAS
+// retries at once, as in the paper's machine model.  Operation-level
+// backoff did not pay on the measured host (DESIGN.md §6).
 
 // BackoffPolicy configures the backoff behaviour.  A policy is immutable
 // after creation and may be shared by any number of goroutines; each
-// operation derives its own Backoff cursor from it with Start.
+// wait episode derives its own Backoff cursor from it with Start.
 //
-// A nil *BackoffPolicy is valid everywhere one is accepted and means
-// "no backoff": Start returns a cursor whose Wait is a no-op.
+// A nil *BackoffPolicy means "no backoff": Start returns a cursor whose
+// Wait is a no-op.
 type BackoffPolicy struct {
 	// MinSpins is the initial spin bound (iterations of a pause loop).
 	MinSpins uint32
@@ -30,22 +29,8 @@ type BackoffPolicy struct {
 	// exceeds MaxSpins — or if MaxSpins is 0, from the first Wait — the
 	// waiter yields the processor (runtime.Gosched) instead of spinning.
 	// MaxSpins = 0 is the right setting for GOMAXPROCS=1, where spinning
-	// burns the time slice the lock holder or DCAS winner needs.
+	// burns the time slice the lock holder needs.
 	MaxSpins uint32
-	// Stats, when non-nil, accumulates backoff activity (BackoffSpins,
-	// BackoffYields) for the benchmark harness.
-	Stats *Stats
-}
-
-// DefaultBackoff returns the recommended policy for the current schedule:
-// spin briefly then yield on a multi-P schedule, yield immediately when
-// GOMAXPROCS is 1.
-func DefaultBackoff() *BackoffPolicy {
-	p := &BackoffPolicy{MinSpins: 8, MaxSpins: 1 << 9}
-	if runtime.GOMAXPROCS(0) == 1 {
-		p.MaxSpins = 0
-	}
-	return p
 }
 
 // backoffSeed perturbs each cursor's jitter stream so concurrent
@@ -53,11 +38,10 @@ func DefaultBackoff() *BackoffPolicy {
 // on retry — the exact pathology jitter exists to break).
 var backoffSeed atomic.Uint64
 
-// Backoff is one operation's backoff cursor: the current bound and jitter
-// state.  It lives on the operation's stack, so the backoff is
-// per-goroutine by construction, as the contention-management literature
-// prescribes.  The zero value (or one started from a nil policy) never
-// waits.
+// Backoff is one wait episode's cursor: the current bound and jitter
+// state.  It lives on the waiter's stack, so the backoff is per-goroutine
+// by construction, as the contention-management literature prescribes.
+// The zero value (or one started from a nil policy) never waits.
 type Backoff struct {
 	pol *BackoffPolicy
 	cur uint32 // current spin bound; doubles per Wait up to pol.MaxSpins
@@ -65,9 +49,8 @@ type Backoff struct {
 }
 
 // Start derives a fresh cursor.  It is valid on a nil policy.  Start does
-// no atomic work: deque operations derive a cursor unconditionally, and the
-// jitter stream is only seeded (one shared-counter increment) on the first
-// Wait that actually spins.
+// no atomic work: the jitter stream is only seeded (one shared-counter
+// increment) on the first Wait that actually spins.
 func (p *BackoffPolicy) Start() Backoff {
 	if p == nil {
 		return Backoff{}
@@ -98,33 +81,28 @@ func (b *Backoff) nextRand() uint64 {
 // while the bound is within MaxSpins, a scheduler yield beyond it.  On a
 // cursor with no policy it returns immediately.
 func (b *Backoff) Wait() {
-	p := b.pol
-	if p == nil {
+	if b.pol == nil {
 		return
 	}
-	if n := b.cur; n > 0 && n <= p.MaxSpins {
-		spins := n/2 + uint32(b.nextRand())%(n-n/2+1) // jitter: [n/2, n]
-		for i := uint32(0); i < spins; i++ {
-			cpuRelax()
-		}
-		b.cur = n * 2
-		if p.Stats != nil {
-			p.Stats.BackoffSpins.Add(uint64(spins))
-		}
+	spins, spin := b.step()
+	if !spin {
+		runtime.Gosched()
 		return
 	}
-	runtime.Gosched()
-	if p.Stats != nil {
-		p.Stats.BackoffYields.Add(1)
+	for i := uint32(0); i < spins; i++ {
+		cpuRelax()
 	}
 }
 
-// Reset returns the cursor to its initial bound.  Called after a
-// successful operation so the next contention episode starts cheap.
-func (b *Backoff) Reset() {
-	if b.pol != nil {
-		b.cur = b.pol.MinSpins
+// step advances a cursor with a policy by one Wait and reports what that
+// Wait does: spin for spins pause iterations, or yield when spin is false.
+func (b *Backoff) step() (spins uint32, spin bool) {
+	n := b.cur
+	if n == 0 || n > b.pol.MaxSpins {
+		return 0, false
 	}
+	b.cur = n * 2
+	return n/2 + uint32(b.nextRand())%(n-n/2+1), true // jitter: [n/2, n]
 }
 
 // cpuRelax is one iteration of the pause loop.  Go exposes no PAUSE/YIELD

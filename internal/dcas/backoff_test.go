@@ -6,65 +6,62 @@ import (
 )
 
 // TestBackoffNilPolicyIsNoop checks that the disabled form (nil policy,
-// zero cursor) never waits and never touches stats.
+// zero cursor) never waits.
 func TestBackoffNilPolicyIsNoop(t *testing.T) {
 	var p *BackoffPolicy
 	bo := p.Start()
 	for i := 0; i < 100; i++ {
 		bo.Wait()
 	}
-	bo.Reset()
+	if bo != (Backoff{}) {
+		t.Fatalf("nil-policy cursor changed state: %+v", bo)
+	}
 	var zero Backoff
 	zero.Wait() // must not panic
 }
 
-// TestBackoffBoundDoubling checks the exponential growth and the bound:
-// the spin budget doubles per Wait starting at MinSpins and, once past
-// MaxSpins, every further Wait yields instead of spinning.
+// TestBackoffBoundDoubling checks the exponential growth and the bound on
+// the lock slow paths' policy: the spin budget doubles per Wait starting
+// at MinSpins and, once past MaxSpins, every further Wait yields instead
+// of spinning.
 func TestBackoffBoundDoubling(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 4, MaxSpins: 64, Stats: &st}
+	p := &BackoffPolicy{MinSpins: lockBackoff.MinSpins, MaxSpins: 1 << 10}
 	bo := p.Start()
 
-	wantCur := []uint32{4, 8, 16, 32, 64, 128, 128, 128}
-	for i, want := range wantCur {
+	for want := p.MinSpins; want <= p.MaxSpins; want *= 2 {
 		if bo.cur != want {
-			t.Fatalf("wait %d: cur = %d, want %d", i, bo.cur, want)
+			t.Fatalf("cur = %d, want %d", bo.cur, want)
 		}
-		bo.Wait()
+		if _, spin := bo.step(); !spin {
+			t.Fatalf("bound %d within MaxSpins yielded instead of spinning", want)
+		}
 	}
 	// cur is now pinned above MaxSpins: all subsequent waits must be
-	// yields, not spins.
-	spinsBefore := st.BackoffSpins.Load()
-	yieldsBefore := st.BackoffYields.Load()
+	// yields, not spins, and leave the bound where it is.
+	pinned := bo.cur
+	if pinned != 2*p.MaxSpins {
+		t.Fatalf("cur past the bound = %d, want %d", pinned, 2*p.MaxSpins)
+	}
 	for i := 0; i < 10; i++ {
+		if spins, spin := bo.step(); spin {
+			t.Fatalf("wait %d past the bound spun %d iterations", i, spins)
+		}
 		bo.Wait()
-	}
-	if got := st.BackoffSpins.Load(); got != spinsBefore {
-		t.Fatalf("spins grew past the bound: %d -> %d", spinsBefore, got)
-	}
-	if got := st.BackoffYields.Load(); got != yieldsBefore+10 {
-		t.Fatalf("yields = %d, want %d", got, yieldsBefore+10)
-	}
-
-	bo.Reset()
-	if bo.cur != p.MinSpins {
-		t.Fatalf("after Reset: cur = %d, want %d", bo.cur, p.MinSpins)
+		if bo.cur != pinned {
+			t.Fatalf("wait %d past the bound moved cur to %d", i, bo.cur)
+		}
 	}
 }
 
 // TestBackoffSpinAccounting checks that the per-wait spin count lands in
 // the jitter window [cur/2, cur].
 func TestBackoffSpinAccounting(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 32, MaxSpins: 32, Stats: &st}
+	p := &BackoffPolicy{MinSpins: 32, MaxSpins: 32}
 	for trial := 0; trial < 50; trial++ {
 		bo := p.Start()
-		before := st.BackoffSpins.Load()
-		bo.Wait()
-		spun := st.BackoffSpins.Load() - before
-		if spun < 16 || spun > 32 {
-			t.Fatalf("trial %d: spun %d iterations, want within [16, 32]", trial, spun)
+		spun, spin := bo.step()
+		if !spin || spun < 16 || spun > 32 {
+			t.Fatalf("trial %d: spun %d iterations (spin=%v), want within [16, 32]", trial, spun, spin)
 		}
 	}
 }
@@ -83,31 +80,21 @@ func TestBackoffJitterVaries(t *testing.T) {
 	}
 }
 
-// TestBackoffYieldOnlyPolicy checks the MaxSpins=0 configuration used on
-// single-P schedules: every wait is a yield from the start.
+// TestBackoffYieldOnlyPolicy checks the MaxSpins=0 configuration
+// lockBackoff uses on single-P schedules: every wait is a yield from the
+// start, and the bound never moves.
 func TestBackoffYieldOnlyPolicy(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 8, MaxSpins: 0, Stats: &st}
+	p := &BackoffPolicy{MinSpins: lockBackoff.MinSpins, MaxSpins: 0}
 	bo := p.Start()
 	for i := 0; i < 5; i++ {
+		if spins, spin := bo.step(); spin {
+			t.Fatalf("yield-only policy spun %d iterations", spins)
+		}
 		bo.Wait()
 	}
-	if st.BackoffSpins.Load() != 0 {
-		t.Fatalf("yield-only policy spun %d times", st.BackoffSpins.Load())
+	if bo.cur != p.MinSpins || bo.rng != 0 {
+		t.Fatalf("yield-only cursor moved: cur %d, rng %d", bo.cur, bo.rng)
 	}
-	if st.BackoffYields.Load() != 5 {
-		t.Fatalf("yields = %d, want 5", st.BackoffYields.Load())
-	}
-}
-
-// TestDefaultBackoffIsUsable smoke-tests the adaptive constructor.
-func TestDefaultBackoffIsUsable(t *testing.T) {
-	p := DefaultBackoff()
-	bo := p.Start()
-	for i := 0; i < 10; i++ {
-		bo.Wait()
-	}
-	bo.Reset()
 }
 
 // TestSpinLockMutualExclusion hammers one spinlock from many goroutines

@@ -55,11 +55,7 @@ package dcas
 // is always a value the anchor legitimately held.
 //
 // The zero value is ready to use; the provider itself is stateless.
-type EndLock struct {
-	// Backoff, when non-nil, replaces the package default policy used
-	// while waiting for a marked anchor.
-	Backoff *BackoffPolicy
-}
+type EndLock struct{}
 
 // EndLockBit is the in-word lock mark EndLock sets on a1 while a DCAS is
 // in flight.  Anchor values must never use this bit: the word is a
@@ -82,11 +78,7 @@ func (p *EndLock) mark(a1 *Loc, o1 uint64) (uint64, bool) {
 //dequevet:lockpath-transfers a1.v
 //go:noinline
 func (p *EndLock) markSlow(a1 *Loc, o1 uint64) (uint64, bool) {
-	pol := p.Backoff
-	if pol == nil {
-		pol = lockBackoff
-	}
-	bo := pol.Start()
+	bo := lockBackoff.Start()
 	for {
 		cur := a1.v.Load()
 		if cur&^EndLockBit != o1 {

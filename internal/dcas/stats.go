@@ -16,12 +16,6 @@ type Stats struct {
 	Attempts atomic.Uint64
 	// Failures counts invocations whose comparison failed.
 	Failures atomic.Uint64
-	// BackoffSpins counts pause-loop iterations executed by the
-	// algorithm-level backoff (BackoffPolicy with this Stats attached).
-	BackoffSpins atomic.Uint64
-	// BackoffYields counts scheduler yields executed by the
-	// algorithm-level backoff once its spin bound is exhausted.
-	BackoffYields atomic.Uint64
 }
 
 // Successes reports Attempts minus Failures at the instant of the call.
@@ -46,21 +40,17 @@ func (s *Stats) Successes() uint64 {
 // not yet visible.  Successes is computed from the snapshot's own
 // Attempts/Failures pair with the same clamping as Stats.Successes.
 type Snapshot struct {
-	Attempts      uint64 `json:"attempts"`
-	Failures      uint64 `json:"failures"`
-	Successes     uint64 `json:"successes"`
-	BackoffSpins  uint64 `json:"backoff_spins"`
-	BackoffYields uint64 `json:"backoff_yields"`
+	Attempts  uint64 `json:"attempts"`
+	Failures  uint64 `json:"failures"`
+	Successes uint64 `json:"successes"`
 }
 
 // Snapshot reads all counters into plain values.  See Snapshot's
 // documentation for the consistency contract.
 func (s *Stats) Snapshot() Snapshot {
 	sn := Snapshot{
-		Attempts:      s.Attempts.Load(),
-		Failures:      s.Failures.Load(),
-		BackoffSpins:  s.BackoffSpins.Load(),
-		BackoffYields: s.BackoffYields.Load(),
+		Attempts: s.Attempts.Load(),
+		Failures: s.Failures.Load(),
 	}
 	if sn.Failures <= sn.Attempts {
 		sn.Successes = sn.Attempts - sn.Failures
@@ -72,8 +62,6 @@ func (s *Stats) Snapshot() Snapshot {
 func (s *Stats) Reset() {
 	s.Attempts.Store(0)
 	s.Failures.Store(0)
-	s.BackoffSpins.Store(0)
-	s.BackoffYields.Store(0)
 }
 
 // Instrumented wraps a Provider so that every DCAS is counted in st.

@@ -135,8 +135,7 @@ func WritePrometheus(b *strings.Builder) {
 		}
 		if d := e.DCAS; d != nil {
 			dcasF.addAll(dq, "event",
-				kv{"attempts", d.Attempts}, kv{"failures", d.Failures}, kv{"successes", d.Successes},
-				kv{"backoff_spins", d.BackoffSpins}, kv{"backoff_yields", d.BackoffYields})
+				kv{"attempts", d.Attempts}, kv{"failures", d.Failures}, kv{"successes", d.Successes})
 		}
 		if m := e.Mem; m != nil {
 			promArena(memEv, memOcc, dq+`,pool="slots"`, m.Slots)

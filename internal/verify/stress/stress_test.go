@@ -101,26 +101,13 @@ func TestListDequeLinearizable(t *testing.T) {
 }
 
 // TestEngineeredSubstrateLinearizable stress-checks the contention-
-// engineered configurations: the anchored EndLock emulation, padded
-// cells, and retry backoff, alone and combined.  Backoff stretches the
-// window between a failed attempt and its retry, so these schedules
-// interleave differently from the defaults the other tests cover.  The
-// cases named for bitlock keep the names they had when they ran on the
-// bit-table emulation; BitLock is deleted and they now run on the
-// constructor's default provider.
+// engineered array configurations: the anchored EndLock emulation named
+// explicitly, and padded cells, whose strided layout maps every logical
+// cell through a different index than the packed default.
 func TestEngineeredSubstrateLinearizable(t *testing.T) {
-	bo := &dcas.BackoffPolicy{MinSpins: 2, MaxSpins: 64}
 	arrayCases := map[string][]arraydeque.Option{
-		"backoff": {arraydeque.WithBackoff(bo)},
-		"bitlock-padded-backoff": {
-			arraydeque.WithPaddedCells(true),
-			arraydeque.WithBackoff(bo),
-		},
 		"endlock": {arraydeque.WithProvider(new(dcas.EndLock))},
-		"endlock-backoff": {
-			arraydeque.WithProvider(new(dcas.EndLock)),
-			arraydeque.WithBackoff(bo),
-		},
+		"padded":  {arraydeque.WithPaddedCells(true)},
 	}
 	for name, opts := range arrayCases {
 		t.Run("array-"+name, func(t *testing.T) {
@@ -132,46 +119,6 @@ func TestEngineeredSubstrateLinearizable(t *testing.T) {
 				Capacity:     3,
 				Items:        d.Items,
 				Seed:         11,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	listCases := map[string]struct {
-		d     Deque
-		items func() ([]uint64, error)
-	}{}
-	{
-		d := listdeque.New(listdeque.WithBackoff(bo))
-		listCases["bit-bitlock-backoff"] = struct {
-			d     Deque
-			items func() ([]uint64, error)
-		}{d, d.Items}
-	}
-	{
-		d := listdeque.NewDummy(listdeque.WithBackoff(bo))
-		listCases["dummy-bitlock-backoff"] = struct {
-			d     Deque
-			items func() ([]uint64, error)
-		}{d, d.Items}
-	}
-	{
-		// LFRC keeps the per-location provider; only backoff applies.
-		d := listdeque.NewLFRC(listdeque.WithBackoff(bo))
-		listCases["lfrc-backoff"] = struct {
-			d     Deque
-			items func() ([]uint64, error)
-		}{d, d.Items}
-	}
-	for name, tgt := range listCases {
-		t.Run("list-"+name, func(t *testing.T) {
-			if _, err := Run(tgt.d, Config{
-				Threads:      3,
-				OpsPerThread: 4,
-				Windows:      150,
-				Capacity:     spec.Unbounded,
-				Items:        tgt.items,
-				Seed:         13,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -117,9 +117,10 @@ func WithDeques(mk func(id int) deque.Deque[Task]) Option {
 }
 
 // WithArrayDeques selects bounded array deques (Section 3) for the
-// workers, forwarding dopts (e.g. deque.WithBackoff).  This is the
+// workers, forwarding dopts (e.g. deque.WithTelemetry).  This is the
 // default, with capacity WithDequeCapacity; the deques run on the array
-// deque's default DCAS emulation, the inlined EndLock.
+// deque's one DCAS emulation, the inlined EndLock, with the packed cell
+// layout.
 func WithArrayDeques(dopts ...deque.Option) Option {
 	return func(c *config) {
 		cap := &c.dequeCap

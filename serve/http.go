@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -22,10 +23,18 @@ type JobResponse struct {
 	RunNs   int64 `json:"run_ns"`
 }
 
+// maxBodyBytes bounds a /jobs request body, so the bytes one request
+// can make the server read are bounded before it is admitted.  At four
+// times jobMaxData it fits an echo payload at the Data cap with room for
+// JSON escapes; a body that escaping inflates past it is too large.
+const maxBodyBytes = 4 * jobMaxData
+
 // ServeHTTP is the job endpoint: POST a Job, receive a JobResponse.
 // Tenancy is the X-Tenant header (unknown names land on the first
 // configured tenant).  Backpressure is explicit: a full tenant queue
-// answers 429 and a draining server 503, both with Retry-After.
+// answers 429 and a draining server 503, both with Retry-After.  A body
+// over maxBodyBytes answers 413 and a malformed one 400, both before the
+// request counts as received.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -33,7 +42,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := metrics.Nanotime()
 	var job Job
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&job); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -23,7 +23,13 @@ var errBadJob = errors.New("serve: bad job")
 // worker unboundedly — the per-request analogue of bounded queues.
 const jobMaxN = 10_000_000
 
-// validate enforces the job contract (known kind, bounded N).
+// jobMaxData bounds an echo job's Data, which the job holds from
+// admission until its response is written: the bytes analogue of
+// jobMaxN.
+const jobMaxData = 16 << 10
+
+// validate enforces the job contract (known kind, bounded N, bounded
+// Data).
 func (j Job) validate() error {
 	switch j.Kind {
 	case "fib", "spin":
@@ -32,6 +38,9 @@ func (j Job) validate() error {
 		}
 		return nil
 	case "echo":
+		if len(j.Data) > jobMaxData {
+			return fmt.Errorf("%w: data longer than %d bytes", errBadJob, jobMaxData)
+		}
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown kind %q", errBadJob, j.Kind)

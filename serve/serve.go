@@ -11,7 +11,9 @@
 // instead converted, at the outermost edge, into an explicit
 // client-visible decision: a full tenant queue answers 429 Too Many
 // Requests with a Retry-After hint, and a draining server answers 503.
-// The per-tenant admission counters make the policy auditable as a
+// Bytes are bounded too: a request body is read up to a fixed limit
+// (413 beyond it) and an echo job's Data is capped, both checked before
+// the request counts as received.  The per-tenant admission counters make the policy auditable as a
 // conservation law: received == accepted + rejected-busy +
 // rejected-drain, and accepted == completed + abandoned, exactly.
 //

@@ -94,6 +94,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBody checks the byte bound at the edge: a body past
+// maxBodyBytes answers 413 before admission, so the counters never move
+// and the conservation law is untouched.
+func TestOversizedBody(t *testing.T) {
+	s := New()
+	defer shutdown(t, s)
+	huge := `{"kind":"echo","data":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	if rr := post(s, "", huge); rr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", rr.Code)
+	}
+	if st := mustConserve(t, s); st.Total.Received != 0 {
+		t.Fatalf("received %d after a rejected body, want 0", st.Total.Received)
+	}
+}
+
+// TestOversizedData checks the echo Data cap: one byte past jobMaxData
+// is a bad job (400, not received); Data at the cap is served whole.
+func TestOversizedData(t *testing.T) {
+	s := New()
+	defer shutdown(t, s)
+	long := `{"kind":"echo","data":"` + strings.Repeat("a", jobMaxData+1) + `"}`
+	if rr := post(s, "", long); rr.Code != http.StatusBadRequest {
+		t.Fatalf("oversized data: status %d, want 400", rr.Code)
+	}
+	if st := s.Stats(); st.Total.Received != 0 {
+		t.Fatalf("received %d after a rejected job, want 0", st.Total.Received)
+	}
+	data := strings.Repeat("a", jobMaxData)
+	rr := post(s, "", `{"kind":"echo","data":"`+data+`"}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("data at the cap: status %d, want 200", rr.Code)
+	}
+	var resp JobResponse
+	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Data != data {
+		t.Fatalf("echoed %d bytes, want %d", len(resp.Data), len(data))
+	}
+	if st := mustConserve(t, s); st.Total.Received != 1 || st.Total.Completed != 1 {
+		t.Fatalf("counters: %+v", st.Total)
+	}
+}
+
 // blockedServer builds a server whose scheduler cannot make progress:
 // its one worker is parked on a gate task and the injector is filled,
 // so the pump's blocking Submit wedges and tenant queues back up.
