@@ -8,7 +8,7 @@
 //	B3  throughput across operation mixes and thread counts
 //	B4  work-stealing: general DCAS deques vs ABP [4]
 //	B5  array vs list representation cost
-//	B6  DCAS emulation ablation (two-lock vs global lock)
+//	B6  DCAS emulation ablation (EndLock vs global lock)
 //	B7  the optional-optimization ablation Section 3 calls for
 //	B8  reclamation ablation (gc / reuse / eager; bulk allocation [24])
 package dcasdeque_test
@@ -50,16 +50,12 @@ func BenchmarkPrimitives(b *testing.B) {
 		}
 	})
 	b.Run("LocCAS", func(b *testing.B) {
+		// The general provider's single-word CAS, which linearizes with
+		// its DCAS.
+		p := dcas.Default()
 		var l dcas.Loc
 		for i := 0; i < b.N; i++ {
-			l.CAS(uint64(i), uint64(i+1))
-		}
-	})
-	b.Run("DCAS/TwoLock", func(b *testing.B) {
-		p := new(dcas.TwoLock)
-		var x, y dcas.Loc
-		for i := 0; i < b.N; i++ {
-			p.DCAS(&x, &y, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
+			p.CAS(&l, uint64(i), uint64(i+1))
 		}
 	})
 	b.Run("DCAS/GlobalLock", func(b *testing.B) {
@@ -67,13 +63,6 @@ func BenchmarkPrimitives(b *testing.B) {
 		var x, y dcas.Loc
 		for i := 0; i < b.N; i++ {
 			p.DCAS(&x, &y, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
-		}
-	})
-	b.Run("DCASView/TwoLock", func(b *testing.B) {
-		p := new(dcas.TwoLock)
-		var x, y dcas.Loc
-		for i := 0; i < b.N; i++ {
-			p.DCASView(&x, &y, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
 		}
 	})
 }
@@ -246,14 +235,11 @@ func BenchmarkArrayVsList(b *testing.B) {
 
 func BenchmarkDCASProviders(b *testing.B) {
 	mk := map[string]func() workload.Deque{
-		"array/twolock": func() workload.Deque { return arraydeque.New(1 << 10) },
+		"array/endlock": func() workload.Deque { return arraydeque.New(1 << 10) },
 		"array/global": func() workload.Deque {
 			return arraydeque.New(1<<10, arraydeque.WithProvider(new(dcas.GlobalLock)))
 		},
-		"list/twolock": func() workload.Deque { return listdeque.New() },
-		"list/global": func() workload.Deque {
-			return listdeque.New(listdeque.WithProvider(new(dcas.GlobalLock)))
-		},
+		"list/global": func() workload.Deque { return listdeque.New() },
 	}
 	for name, f := range mk {
 		b.Run(name, func(b *testing.B) {

@@ -23,13 +23,12 @@ import (
 // by split-end workers, so every operation contends on one of the two end
 // indices.
 //
-// Three configurations of the same array-deque algorithm are compared:
+// Two configurations of the same array-deque algorithm are compared:
 //
 //   - engineered: anchored in-word DCAS (dcas.EndLock — three locked
 //     read-modify-writes per DCAS) — the array deque's default substrate;
-//   - twolock-spin: the general per-location spinlock emulation
-//     (dcas.Default()), the baseline;
-//   - global-lock: one mutex for all DCAS, the coarse lower bound.
+//   - global-lock: the general emulation (dcas.Default(), one mutex per
+//     deque for all DCAS), the baseline.
 //
 // Throughput is the median of several untimed trials; latency quantiles
 // and DCAS counters come from one separately instrumented trial so
@@ -63,10 +62,6 @@ func contendVariants() []contendVariant {
 		{"engineered", "endlock", func(st *dcas.Stats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.EndLock), st)))
-		}},
-		{"twolock-spin", "twolock", func(st *dcas.Stats) *arraydeque.Deque {
-			return arraydeque.New(contendCap,
-				arraydeque.WithProvider(wrap(new(dcas.TwoLock), st)))
 		}},
 		{"global-lock", "global-mutex", func(st *dcas.Stats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
@@ -212,7 +207,7 @@ func expContend(o io, ops int, workers []int) {
 	rep.Config.SplitEnds = true
 	rep.Config.Trials = contendTrials
 	rep.Config.Seed = contendSeed
-	rep.Config.Baseline = "twolock-spin"
+	rep.Config.Baseline = "global-lock"
 	rep.Env.GoVersion = runtime.Version()
 	rep.Env.GOOS = runtime.GOOS
 	rep.Env.GOARCH = runtime.GOARCH
@@ -265,7 +260,7 @@ func expContend(o io, ops int, workers []int) {
 			cell.DcasFailures = st.Failures.Load()
 			rep.Cells = append(rep.Cells, *cell)
 			switch v.name {
-			case "twolock-spin":
+			case "global-lock":
 				baseline[w] = cell.OpsPerSec
 			case "engineered":
 				engineered[w] = cell.OpsPerSec

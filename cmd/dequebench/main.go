@@ -127,23 +127,16 @@ func expB1(o io, ops int, _ []int) {
 		}
 	})
 	_ = sink
-	timeIt("cas", func(n int) {
-		for i := 0; i < n; i++ {
-			l.CAS(uint64(i), uint64(i+1))
-		}
-	})
-	p := new(dcas.TwoLock)
-	var x, y dcas.Loc
-	timeIt("dcas(two-lock)", func(n int) {
-		for i := 0; i < n; i++ {
-			p.DCAS(&x, &y, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
-		}
-	})
 	g := new(dcas.GlobalLock)
-	var x2, y2 dcas.Loc
+	timeIt("cas(global-lock)", func(n int) {
+		for i := 0; i < n; i++ {
+			g.CAS(&l, uint64(i), uint64(i+1))
+		}
+	})
+	var x, y dcas.Loc
 	timeIt("dcas(global-lock)", func(n int) {
 		for i := 0; i < n; i++ {
-			g.DCAS(&x2, &y2, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
+			g.DCAS(&x, &y, uint64(i), uint64(i), uint64(i+1), uint64(i+1))
 		}
 	})
 	o.emit("B1: primitive latencies (expect read < cas < dcas)", t)
@@ -234,33 +227,29 @@ func expB4(o io, _ int, workers []int) {
 func expB6(o io, ops int, workers []int) {
 	t := metrics.NewTable("impl", "provider", "workers", "ops/s", "dcas", "dcas-failed")
 	for _, w := range workers {
-		for _, prov := range []string{"two-lock", "global"} {
-			var st dcas.Stats
-			var p dcas.Provider
-			if prov == "two-lock" {
-				p = dcas.Instrumented(new(dcas.TwoLock), &st)
-			} else {
-				p = dcas.Instrumented(new(dcas.GlobalLock), &st)
+		var st dcas.Stats
+		impls := []struct {
+			name, prov string
+			d          workload.Deque
+		}{
+			{"array", "endlock", arraydeque.New(1<<10, arraydeque.WithProvider(
+				dcas.Instrumented(new(dcas.EndLock), &st)))},
+			{"array", "global", arraydeque.New(1<<10, arraydeque.WithProvider(
+				dcas.Instrumented(new(dcas.GlobalLock), &st)))},
+			{"list", "global", listdeque.New(listdeque.WithProvider(
+				dcas.Instrumented(new(dcas.GlobalLock), &st)))},
+		}
+		for _, im := range impls {
+			st.Reset()
+			res, err := workload.RunMix(im.d, workload.MixConfig{
+				Workers: w, OpsPerWorker: ops, PushPct: 50, Seed: 5, Prefill: 64,
+			})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "b6:", err)
+				continue
 			}
-			impls := []struct {
-				name string
-				d    workload.Deque
-			}{
-				{"array", arraydeque.New(1<<10, arraydeque.WithProvider(p))},
-				{"list", listdeque.New(listdeque.WithProvider(p))},
-			}
-			for _, im := range impls {
-				st.Reset()
-				res, err := workload.RunMix(im.d, workload.MixConfig{
-					Workers: w, OpsPerWorker: ops, PushPct: 50, Seed: 5, Prefill: 64,
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "b6:", err)
-					continue
-				}
-				t.AddRow(im.name, prov, w, res.Throughput.PerSecond(),
-					st.Attempts.Load(), st.Failures.Load())
-			}
+			t.AddRow(im.name, im.prov, w, res.Throughput.PerSecond(),
+				st.Attempts.Load(), st.Failures.Load())
 		}
 	}
 	o.emit("B6: DCAS emulation ablation", t)

@@ -88,7 +88,7 @@ type DCASStats struct {
 }
 
 // LocationStats attribute DCAS traffic to one shared location word.  ID
-// is the location's internal ordering token — stable for the deque's
+// identifies the location (its address) — stable for the deque's
 // lifetime, so two snapshots can be diffed — with 0 identifying the
 // overflow bucket (locations beyond the attribution table's capacity).
 type LocationStats struct {

@@ -23,7 +23,7 @@
 //     safe — approximate statistics, single-threaded test inspection; or
 //   - a plain &x.f address-of that does not feed a sync/atomic call:
 //     taking an address is not a data access (layout tests and
-//     AssignIDs-style registration do this), and the eventual dereference
+//     attribution keys do this), and the eventual dereference
 //     is checked wherever it occurs.
 //
 // The analyzer is intra-package: in-package test files are analyzed

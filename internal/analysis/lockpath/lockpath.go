@@ -14,10 +14,11 @@
 //     sync.RWMutex, or any type whose name contains "spinlock"
 //     (case-insensitive).  Spinlock windows are "spin windows".
 //   - anchor-mark style: the EndLock protocol.  A conditional acquire is
-//     either a mark(a1, o1) call on a type whose name contains "endlock",
-//     or an inlined X.RawCAS(o, o|EndLockBit) / X.CompareAndSwap(o,
+//     either a mark(a1, o1) or TryMark(a1, o1) call on a type whose name
+//     contains "endlock", closed by that type's Unmark(a1, v), or an
+//     inlined X.RawCAS(o, o|EndLockBit) / X.CompareAndSwap(o,
 //     o|EndLockBit) whose second argument sets a constant named
-//     EndLockBit; the window closes at X.Store/X.RawStore.  Spin window.
+//     EndLockBit, closed at X.Store/X.RawStore.  Spin window.
 //
 // The analysis is an abstract interpretation over structured control flow:
 // held-lock sets are propagated through if/else, switch, select, and
@@ -650,8 +651,13 @@ func (c *checker) classifyCall(call *ast.CallExpr) lockOp {
 		}
 	}
 
-	if strings.Contains(strings.ToLower(tn), "endlock") && (name == "mark" || name == "Mark") && len(call.Args) >= 1 {
-		return lockOp{kind: opCondAcquire, keys: []string{types.ExprString(call.Args[0]) + ".v"}, spin: true}
+	if strings.Contains(strings.ToLower(tn), "endlock") && len(call.Args) >= 1 {
+		switch name {
+		case "mark", "Mark", "TryMark":
+			return lockOp{kind: opCondAcquire, keys: []string{types.ExprString(call.Args[0]) + ".v"}, spin: true}
+		case "Unmark":
+			return lockOp{kind: opRelease, keys: []string{types.ExprString(call.Args[0]) + ".v"}}
+		}
 	}
 
 	// Inlined anchor mark: X.RawCAS(o, o|EndLockBit).

@@ -67,7 +67,6 @@ func TestRandomDifferential(t *testing.T) {
 
 func TestLinearizableUnderStress(t *testing.T) {
 	for name, prov := range map[string]dcas.Provider{
-		"TwoLock":    new(dcas.TwoLock),
 		"GlobalLock": new(dcas.GlobalLock),
 	} {
 		t.Run(name, func(t *testing.T) {

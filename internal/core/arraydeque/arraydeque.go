@@ -33,6 +33,9 @@
 package arraydeque
 
 import (
+	"math/bits"
+	"unsafe"
+
 	"dcasdeque/internal/dcas"
 	"dcasdeque/internal/metrics"
 	"dcasdeque/internal/spec"
@@ -43,9 +46,9 @@ import (
 const Null uint64 = 0
 
 // cellShift is the log₂ stride, in Loc-sized units, between logical cells
-// when padded-cell mode is on: 8 Locs per cell keeps consecutive cells at
-// least dcas.FalseSharingRange bytes apart.
-const cellShift = 3
+// when padded-cell mode is on: one dcas.FalseSharingRange of Locs per cell
+// keeps consecutive cells that far apart (16 Locs of 8 bytes).
+var cellShift = uint(bits.TrailingZeros(uint(dcas.FalseSharingRange / unsafe.Sizeof(dcas.Loc{}))))
 
 // Deque is an array-based bounded deque.  All methods are safe for
 // concurrent use.  Create with New.
@@ -173,14 +176,6 @@ func New(n int, opts ...Option) *Deque {
 	d.s = make([]dcas.Loc, uint64(n)<<d.shift)
 	d.l.Init(0)
 	d.r.Init(1 % d.n)
-	// Pre-assign the lock-ordering tokens while the deque is still private,
-	// keeping the lazy-assignment CAS off the DCAS hot path.
-	locs := make([]*dcas.Loc, 0, n+2)
-	locs = append(locs, &d.l, &d.r)
-	for i := uint64(0); i < d.n; i++ {
-		locs = append(locs, d.cell(i))
-	}
-	dcas.AssignIDs(locs...)
 	return d
 }
 
@@ -261,14 +256,14 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 					// Inlined EndLock fast path (mark anchor, arbitrate
 					// cell, commit); EndLock.DCASView is the authority on
 					// the protocol and handles the marked-anchor slow case.
-					if d.r.RawCAS(oldR, oldR|dcas.EndLockBit) {
-						if cell.RawCAS(oldS, Null) { // linearization point: inlined EndLock commit
-							d.r.RawStore(newR)
+					if d.el.TryMark(&d.r, oldR) {
+						if d.el.CAS(cell, oldS, Null) { // linearization point: inlined EndLock commit
+							d.el.Unmark(&d.r, newR)
 							d.note(telemetry.Right, telemetry.Pops, retries, start)
 							return oldS, spec.Okay // line 16
 						}
 						v1, v2 = oldR, cell.Load() // view under the mark
-						d.r.RawStore(oldR)
+						d.el.Unmark(&d.r, oldR)
 					} else {
 						v1, v2, ok = d.el.DCASView(&d.r, cell, // linearization point: strong DCAS
 							oldR, oldS, newR, Null) // lines 14-15
@@ -339,14 +334,14 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 				var ok bool
 				if d.el != nil {
 					// Inlined EndLock fast path; see PopRight.
-					if d.r.RawCAS(oldR, oldR|dcas.EndLockBit) {
-						if cell.RawCAS(oldS, v) { // linearization point: inlined EndLock commit
-							d.r.RawStore(newR)
+					if d.el.TryMark(&d.r, oldR) {
+						if d.el.CAS(cell, oldS, v) { // linearization point: inlined EndLock commit
+							d.el.Unmark(&d.r, newR)
 							d.note(telemetry.Right, telemetry.Pushes, retries, start)
 							return spec.Okay // line 16
 						}
 						v1 = oldR // anchor pinned, so the cell was non-null
-						d.r.RawStore(oldR)
+						d.el.Unmark(&d.r, oldR)
 					} else {
 						v1, _, ok = d.el.DCASView(&d.r, cell, // linearization point: strong DCAS
 							oldR, oldS, newR, v) // lines 14-15
@@ -409,14 +404,14 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 				var ok bool
 				if d.el != nil {
 					// Inlined EndLock fast path; see PopRight.
-					if d.l.RawCAS(oldL, oldL|dcas.EndLockBit) {
-						if cell.RawCAS(oldS, Null) { // linearization point: inlined EndLock commit
-							d.l.RawStore(newL)
+					if d.el.TryMark(&d.l, oldL) {
+						if d.el.CAS(cell, oldS, Null) { // linearization point: inlined EndLock commit
+							d.el.Unmark(&d.l, newL)
 							d.note(telemetry.Left, telemetry.Pops, retries, start)
 							return oldS, spec.Okay
 						}
 						v1, v2 = oldL, cell.Load()
-						d.l.RawStore(oldL)
+						d.el.Unmark(&d.l, oldL)
 					} else {
 						v1, v2, ok = d.el.DCASView(&d.l, cell, // linearization point: strong DCAS
 							oldL, oldS, newL, Null)
@@ -486,14 +481,14 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 				var ok bool
 				if d.el != nil {
 					// Inlined EndLock fast path; see PopRight.
-					if d.l.RawCAS(oldL, oldL|dcas.EndLockBit) {
-						if cell.RawCAS(oldS, v) { // linearization point: inlined EndLock commit
-							d.l.RawStore(newL)
+					if d.el.TryMark(&d.l, oldL) {
+						if d.el.CAS(cell, oldS, v) { // linearization point: inlined EndLock commit
+							d.el.Unmark(&d.l, newL)
 							d.note(telemetry.Left, telemetry.Pushes, retries, start)
 							return spec.Okay
 						}
 						v1 = oldL
-						d.l.RawStore(oldL)
+						d.el.Unmark(&d.l, oldL)
 					} else {
 						v1, _, ok = d.el.DCASView(&d.l, cell, // linearization point: strong DCAS
 							oldL, oldS, newL, v)

@@ -11,10 +11,10 @@ import (
 // variants returns one constructor per algorithm configuration so every
 // test runs across the option matrix: the DCAS providers crossed with the
 // two optional optimizations of Section 3.  The EndLock rows are the
-// default (inlined) path; the TwoLock and GlobalLock rows drive the
-// generic Provider path.
+// default (inlined) path; the GlobalLock rows drive the generic Provider
+// path.
 func variants() map[string]func(n int) *Deque {
-	twoLock := func() Option { return WithProvider(new(dcas.TwoLock)) }
+	globalLock := func() Option { return WithProvider(new(dcas.GlobalLock)) }
 	return map[string]func(n int) *Deque{
 		"EndLock/strong/recheck": func(n int) *Deque {
 			return New(n)
@@ -25,24 +25,17 @@ func variants() map[string]func(n int) *Deque {
 		"EndLock/weak/norecheck": func(n int) *Deque {
 			return New(n, WithStrongDCAS(false), WithRecheckIndex(false))
 		},
-		"TwoLock/strong/recheck": func(n int) *Deque {
-			return New(n, twoLock())
-		},
-		"TwoLock/strong/norecheck": func(n int) *Deque {
-			return New(n, twoLock(), WithRecheckIndex(false))
-		},
-		"TwoLock/weak/recheck": func(n int) *Deque {
-			return New(n, twoLock(), WithStrongDCAS(false))
-		},
-		"TwoLock/weak/norecheck": func(n int) *Deque {
-			return New(n, twoLock(), WithStrongDCAS(false), WithRecheckIndex(false))
-		},
 		"GlobalLock/strong/recheck": func(n int) *Deque {
-			return New(n, WithProvider(new(dcas.GlobalLock)))
+			return New(n, globalLock())
+		},
+		"GlobalLock/strong/norecheck": func(n int) *Deque {
+			return New(n, globalLock(), WithRecheckIndex(false))
+		},
+		"GlobalLock/weak/recheck": func(n int) *Deque {
+			return New(n, globalLock(), WithStrongDCAS(false))
 		},
 		"GlobalLock/weak/norecheck": func(n int) *Deque {
-			return New(n, WithProvider(new(dcas.GlobalLock)),
-				WithStrongDCAS(false), WithRecheckIndex(false))
+			return New(n, globalLock(), WithStrongDCAS(false), WithRecheckIndex(false))
 		},
 	}
 }
@@ -74,8 +67,8 @@ func TestDefaultProviderIsEndLock(t *testing.T) {
 	if d.el == nil {
 		t.Fatal("default deque does not take the inlined EndLock path (el == nil)")
 	}
-	if g := New(4, WithProvider(new(dcas.TwoLock))); g.el != nil {
-		t.Fatal("explicit TwoLock provider took the EndLock fast path")
+	if g := New(4, WithProvider(new(dcas.GlobalLock))); g.el != nil {
+		t.Fatal("explicit GlobalLock provider took the EndLock fast path")
 	}
 }
 

@@ -177,7 +177,7 @@ func TestBothEndsIndependent(t *testing.T) {
 // deque, the maximal-contention boundary case: all four operation kinds
 // target the same (index, cell) neighbourhood.
 func TestContendedSingleCell(t *testing.T) {
-	d := New(1, WithProvider(new(dcas.TwoLock)))
+	d := New(1, WithProvider(new(dcas.GlobalLock)))
 	const (
 		workers = 8
 		rounds  = 5000

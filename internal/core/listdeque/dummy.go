@@ -85,8 +85,6 @@ func NewDummy(opts ...Option) *DummyDeque {
 	d.node(sr).val.Init(SentR)
 	d.node(sr).l.Init(d.slPtr)
 	d.node(sr).r.Init(tagptr.Nil)
-	dcas.AssignIDs(&d.node(sl).l, &d.node(sl).r, &d.node(sl).val,
-		&d.node(sr).l, &d.node(sr).r, &d.node(sr).val)
 	return d
 }
 
@@ -143,7 +141,6 @@ func (d *DummyDeque) mkDummy(real tagptr.Word, right bool) (tagptr.Word, uint32,
 		return tagptr.Nil, 0, false
 	}
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	n.val.Init(Dummy)
 	if right {
 		n.l.Init(real)
@@ -223,7 +220,6 @@ func (d *DummyDeque) PushRight(v uint64) spec.Result {
 	}
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	srL := &d.node(d.sr).l
 	var retries uint64
 	for {
@@ -280,7 +276,8 @@ func (d *DummyDeque) deleteRight() {
 		} else { // two null items: the left side must be marked too
 			oldRraw := slR.Load()
 			leftReal, leftDeleted := d.resolve(oldRraw, false)
-			if leftDeleted {
+			// Join only over the null neighbour just read (package doc).
+			if leftDeleted && tagptr.Ptr(leftReal) == tagptr.Ptr(oldLL) {
 				if d.prov.DCAS(srL, slR, raw, oldRraw, d.slPtr, d.srPtr) {
 					d.ar.Free(delIdx)                   // right null node
 					d.ar.Free(tagptr.MustIdx(raw))      // right dummy
@@ -356,7 +353,6 @@ func (d *DummyDeque) PushLeft(v uint64) spec.Result {
 	}
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	slR := &d.node(d.sl).r
 	var retries uint64
 	for {
@@ -409,7 +405,7 @@ func (d *DummyDeque) deleteLeft() {
 		} else {
 			oldLraw := srL.Load()
 			rightReal, rightDeleted := d.resolve(oldLraw, true)
-			if rightDeleted {
+			if rightDeleted && tagptr.Ptr(rightReal) == tagptr.Ptr(oldRR) {
 				if d.prov.DCAS(slR, srL, raw, oldLraw, d.srPtr, d.slPtr) {
 					d.ar.Free(delIdx)
 					d.ar.Free(tagptr.MustIdx(raw))

@@ -86,8 +86,6 @@ func NewLFRC(opts ...Option) *LFRCDeque {
 	d.node(sr).l.Init(d.slPtr)
 	d.node(sr).r.Init(tagptr.Nil)
 	d.node(sr).rc.Init(1) // permanent
-	dcas.AssignIDs(&d.node(sl).l, &d.node(sl).r, &d.node(sl).val, &d.node(sl).rc,
-		&d.node(sr).l, &d.node(sr).r, &d.node(sr).val, &d.node(sr).rc)
 	return d
 }
 
@@ -149,7 +147,8 @@ func (d *LFRCDeque) sentinel(w tagptr.Word) bool {
 }
 
 // addRef increments the count behind w.  The caller must already own a
-// counted reference to w's node.
+// counted reference to w's node.  Counts are written only through the
+// provider (here its CAS, in load its DCAS), so the two linearize.
 func (d *LFRCDeque) addRef(w tagptr.Word) {
 	if w == tagptr.Nil || d.sentinel(w) {
 		return
@@ -160,7 +159,7 @@ func (d *LFRCDeque) addRef(w tagptr.Word) {
 		if rc == 0 {
 			panic("listdeque: addRef on dead node")
 		}
-		if n.rc.CAS(rc, rc+1) {
+		if d.prov.CAS(&n.rc, rc, rc+1) {
 			d.refInc()
 			return
 		}
@@ -187,7 +186,7 @@ func (d *LFRCDeque) release(w tagptr.Word) {
 			if rc == 0 {
 				panic("listdeque: release on dead node")
 			}
-			if !n.rc.CAS(rc, rc-1) {
+			if !d.prov.CAS(&n.rc, rc, rc-1) {
 				continue
 			}
 			d.refDec()
@@ -279,7 +278,6 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 		return spec.Full
 	}
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val, &n.rc)
 	// Pre-charge the count for the two shared references (SR->L and the
 	// old neighbour's r link) the splice DCAS installs.  The node is
 	// private until that DCAS publishes it, so the early increment is
@@ -352,7 +350,8 @@ func (d *LFRCDeque) deleteRight() {
 			d.release(oldL)
 		} else { // two null items
 			oldR := d.load(slR)
-			if tagptr.Deleted(oldR) {
+			// Join only over the null neighbour just read (package doc).
+			if tagptr.Deleted(oldR) && tagptr.Ptr(oldR) == tagptr.Ptr(oldLL) {
 				if d.prov.DCAS(srL, slR, oldL, oldR, d.slPtr, d.srPtr) {
 					// The two dead nulls reference each other (right.l →
 					// left, left.r → right) — a cycle plain counting can
@@ -387,7 +386,7 @@ func (d *LFRCDeque) deleteRight() {
 // legitimately hold it with either bit value.
 func (d *LFRCDeque) severLink(link *dcas.Loc, target tagptr.Word, sentinelWord tagptr.Word) {
 	for _, cand := range []tagptr.Word{target, tagptr.WithDeleted(target, true)} {
-		if link.CAS(cand, sentinelWord) {
+		if d.prov.CAS(link, cand, sentinelWord) {
 			d.release(cand)
 			return
 		}
@@ -448,7 +447,6 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 		return spec.Full
 	}
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val, &n.rc)
 	n.rc.Init(2) // pre-charged for the splice's two shared refs; see PushRight
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	slR := &d.node(d.sl).r
@@ -506,7 +504,7 @@ func (d *LFRCDeque) deleteLeft() {
 			d.release(oldR)
 		} else {
 			oldL := d.load(srL)
-			if tagptr.Deleted(oldL) {
+			if tagptr.Deleted(oldL) && tagptr.Ptr(oldL) == tagptr.Ptr(oldRR) {
 				if d.prov.DCAS(slR, srL, oldR, oldL, d.srPtr, d.slPtr) {
 					// Sever the dead pair's mutual links (see deleteRight).
 					d.severLink(&delN.r, tagptr.Ptr(oldL) /* left.r -> right */, d.srPtr)

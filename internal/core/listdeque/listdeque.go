@@ -21,7 +21,13 @@
 // The trickiest case is a deque holding exactly two logically deleted
 // nodes, attacked by deleteLeft and deleteRight concurrently (Figure 16):
 // both try DCASes that overlap on a sentinel pointer, so exactly one wins,
-// and the loser re-reads and finishes the remaining deletion.
+// and the loser re-reads and finishes the remaining deletion.  The join
+// DCAS validates only the two sentinel words, so before it a deletion
+// checks that the other sentinel's deleted node is the very neighbour it
+// read as null; without that check a stale reader can join the sentinels
+// over live items (Sundell and Tsigas validate a neighbour before
+// unlinking for the same reason).  PAPER.md does not include Figure 17's
+// text, so whether the figure has the check is left open.
 //
 // Pointer words pack (node index, reuse tag, deleted bit) into one
 // 64-bit DCAS-able word — see package tagptr.  Nodes live in an arena
@@ -36,6 +42,8 @@
 package listdeque
 
 import (
+	"unsafe"
+
 	"dcasdeque/internal/arena"
 	"dcasdeque/internal/dcas"
 	"dcasdeque/internal/metrics"
@@ -68,11 +76,13 @@ type node struct {
 // sentinelSpacerSlots is the number of arena slots reserved between the
 // two sentinels at construction.  The deque's always-hot words are the
 // sentinels' inward pointers (SL.r and SR.l); with the sentinels allocated
-// back-to-back those words sit 48 bytes apart — inside one false-sharing
+// back-to-back those words sit one node apart — inside one false-sharing
 // range — so every left-end operation would invalidate the line every
-// right-end operation spins on.  Two spacer node slots put the hot words
-// ≥ dcas.FalseSharingRange bytes apart for both node layouts.
-const sentinelSpacerSlots = 2
+// right-end operation spins on.  One false-sharing range of the smaller
+// node layout (node; rcNode is larger) puts the hot words
+// ≥ dcas.FalseSharingRange bytes apart for every layout: 6 slots of 24
+// bytes.
+const sentinelSpacerSlots = int((dcas.FalseSharingRange + unsafe.Sizeof(node{}) - 1) / unsafe.Sizeof(node{}))
 
 // Deque is a linked-list-based unbounded deque.  All methods are safe for
 // concurrent use.  Create with New.
@@ -100,7 +110,11 @@ type options struct {
 	tel         *telemetry.Sink
 }
 
-// WithProvider selects the DCAS emulation (default: a fresh dcas.TwoLock).
+// WithProvider selects the DCAS emulation (default: a fresh
+// dcas.GlobalLock, one mutex per deque).  The provider must be general:
+// the list's link words appear on both sides of DCAS pairs, which
+// dcas.EndLock's anchored contract forbids.  Shared by New, NewDummy and
+// NewLFRC.
 func WithProvider(p dcas.Provider) Option {
 	return func(o *options) { o.prov = p }
 }
@@ -179,10 +193,6 @@ func New(opts ...Option) *Deque {
 	d.node(sr).val.Init(SentR)
 	d.node(sr).l.Init(d.slPtr)
 	d.node(sr).r.Init(tagptr.Nil)
-	// Pre-assign lock-ordering tokens while the deque is still private,
-	// keeping the lazy-assignment CAS off the DCAS hot path.
-	dcas.AssignIDs(&d.node(sl).l, &d.node(sl).r, &d.node(sl).val,
-		&d.node(sr).l, &d.node(sr).r, &d.node(sr).val)
 	return d
 }
 
@@ -277,7 +287,6 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 	}
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false) // line 4: newL.deleted = false
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	srL := &d.node(d.sr).l
 	var retries uint64
 	for {
@@ -331,8 +340,12 @@ func (d *Deque) deleteRight() {
 				}
 			}
 		} else { // line 16: "there are two null items"
-			oldR := slR.Load()        // line 17
-			if tagptr.Deleted(oldR) { // line 18
+			oldR := slR.Load() // line 17
+			// Line 18, plus the neighbour check of the package doc:
+			// join only if the left sentinel's deleted node is the null
+			// neighbour just read, or a stale read could point the
+			// sentinels at each other over live items.
+			if tagptr.Deleted(oldR) && tagptr.Ptr(oldR) == tagptr.Ptr(oldLL) {
 				// Point the sentinels at each other (lines 19-25); this
 				// DCAS overlaps with a concurrent deleteLeft's DCAS on
 				// SL->R, so exactly one of them wins (Figure 16).
@@ -399,7 +412,6 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 	}
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	n := d.node(idx)
-	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	slR := &d.node(d.sl).r
 	var retries uint64
 	for {
@@ -443,7 +455,8 @@ func (d *Deque) deleteLeft() {
 			}
 		} else { // two null items
 			oldL := srL.Load()
-			if tagptr.Deleted(oldL) {
+			// Join only over the null neighbour just read (package doc).
+			if tagptr.Deleted(oldL) && tagptr.Ptr(oldL) == tagptr.Ptr(oldRR) {
 				if d.prov.DCAS(slR, srL, oldR, oldL, d.srPtr, d.slPtr) {
 					d.retire(delIdx)
 					d.retire(tagptr.MustIdx(oldL))

@@ -9,18 +9,22 @@ import (
 	"dcasdeque/internal/tagptr"
 )
 
-// variants returns a constructor per configuration: providers crossed with
-// reclamation modes and eager/lazy physical deletion.
+// variants returns a constructor per configuration: the default provider
+// crossed with every reclamation mode and eager/lazy physical deletion,
+// plus an explicit GlobalLock through WithProvider.
 func variants() map[string]func() *Deque {
 	return map[string]func() *Deque{
-		"TwoLock/reuse/lazy": func() *Deque {
+		"default/reuse/lazy": func() *Deque {
 			return New()
 		},
-		"TwoLock/reuse/eager": func() *Deque {
+		"default/reuse/eager": func() *Deque {
 			return New(WithEagerDelete(true))
 		},
-		"TwoLock/gc/lazy": func() *Deque {
+		"default/gc/lazy": func() *Deque {
 			return New(WithNodeReuse(false), WithMaxNodes(1<<16))
+		},
+		"default/gc/eager": func() *Deque {
+			return New(WithNodeReuse(false), WithMaxNodes(1<<16), WithEagerDelete(true))
 		},
 		"GlobalLock/reuse/lazy": func() *Deque {
 			return New(WithProvider(new(dcas.GlobalLock)))

@@ -3,6 +3,7 @@ package dcas
 import (
 	"sort"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Per-location DCAS attribution.
@@ -12,9 +13,11 @@ import (
 // left and right end words are deliberately far apart (Section 3), and a
 // retry storm on one end says something different from uniform pressure
 // across the cells.  AttrStats splits attempt/failure counts by the
-// location words a DCAS touched, keyed by each Loc's ordering token
-// (Loc.ID), so a report can say "94% of failures hit location 2 — the
-// right end word".
+// location words a DCAS touched, keyed by each Loc's address, so a report
+// can say "94% of failures hit one location — the right end word".  An
+// address is a stable identity for the location's lifetime: Go's
+// collector does not move heap objects, and arena-recycled nodes keep
+// their storage across incarnations.
 //
 // The table is a fixed-size, lock-free, insert-only open-addressed map:
 // a slot is claimed by CASing its id from 0, and counters are plain
@@ -47,7 +50,10 @@ type AttrStats struct {
 	overflow attrSlot
 }
 
-// slot returns the counter slot for a location token, claiming a free
+// locKey is a location's attribution key: its address, never 0.
+func locKey(l *Loc) uint64 { return uint64(uintptr(unsafe.Pointer(l))) }
+
+// slot returns the counter slot for a location key, claiming a free
 // slot on first sight and folding into the overflow bucket when the
 // table is full.
 func (st *AttrStats) slot(id uint64) *attrSlot {
@@ -70,7 +76,7 @@ func (st *AttrStats) slot(id uint64) *attrSlot {
 
 // record counts one DCAS against both locations it touched.
 func (st *AttrStats) record(a1, a2 *Loc, failed bool) {
-	s1, s2 := st.slot(a1.ID()), st.slot(a2.ID())
+	s1, s2 := st.slot(locKey(a1)), st.slot(locKey(a2))
 	s1.attempts.Add(1)
 	s2.attempts.Add(1)
 	if failed {
@@ -81,14 +87,13 @@ func (st *AttrStats) record(a1, a2 *Loc, failed bool) {
 
 // LocStats is one location's attributed counts, in plain values.
 type LocStats struct {
-	// ID is the location's ordering token (Loc.ID); 0 identifies the
-	// overflow bucket.
+	// ID is the location's address; 0 identifies the overflow bucket.
 	ID       uint64 `json:"id"`
 	Attempts uint64 `json:"attempts"`
 	Failures uint64 `json:"failures"`
 }
 
-// PerLocation returns the attributed counts, sorted by location token,
+// PerLocation returns the attributed counts, sorted by location address,
 // with the overflow bucket (ID 0) appended when it is non-empty.  Reads
 // are unsynchronized, with the same contract as Stats.Snapshot: a
 // concurrent Reset can zero a slot's attempts between the two loads and
@@ -132,7 +137,8 @@ func (st *AttrStats) Reset() {
 
 // InstrumentedAttr wraps a Provider so that every DCAS is counted in
 // st's aggregate counters and attributed to both locations it touched.
-// The wrapped provider is otherwise semantically identical.
+// The wrapped provider is otherwise semantically identical; CAS passes
+// through uncounted.
 func InstrumentedAttr(p Provider, st *AttrStats) Provider {
 	return &instrumentedAttr{p: p, st: st}
 }
@@ -161,3 +167,5 @@ func (i *instrumentedAttr) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (uint64,
 	i.st.record(a1, a2, !ok)
 	return v1, v2, ok
 }
+
+func (i *instrumentedAttr) CAS(a *Loc, old, new uint64) bool { return i.p.CAS(a, old, new) }

@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// This file provides the contention-management engine of the lock slow
-// paths — the spinlock's and EndLock's wait for a marked anchor: bounded
-// exponential backoff with jitter.  A waiter that re-polls the lock word
-// at full speed keeps the line bouncing between cores while the holder
-// needs it to release; each waiter instead pauses for a randomized,
-// exponentially growing, bounded interval between polls.
+// This file provides the contention-management engine of EndLock's slow
+// path, the wait for a marked anchor: bounded exponential backoff with
+// jitter.  A waiter that re-polls the lock word at full speed keeps the
+// line bouncing between cores while the holder needs it to release; each
+// waiter instead pauses for a randomized, exponentially growing, bounded
+// interval between polls.
 //
 // The deque algorithms' own retry loops do not back off: a failed DCAS
 // retries at once, as in the paper's machine model.  Operation-level
@@ -104,6 +104,18 @@ func (b *Backoff) step() (spins uint32, spin bool) {
 	b.cur = n * 2
 	return n/2 + uint32(b.nextRand())%(n-n/2+1), true // jitter: [n/2, n]
 }
+
+// lockBackoff is the backoff policy for EndLock's slow path.  It is
+// initialized once at startup: on a multi-P schedule waiters spin briefly
+// before yielding; with GOMAXPROCS=1 spinning can never observe a release
+// (the holder is not running), so waiters yield immediately.
+var lockBackoff = func() *BackoffPolicy {
+	p := &BackoffPolicy{MinSpins: 16, MaxSpins: 1 << 10}
+	if runtime.GOMAXPROCS(0) == 1 {
+		p.MaxSpins = 0
+	}
+	return p
+}()
 
 // cpuRelax is one iteration of the pause loop.  Go exposes no PAUSE/YIELD
 // intrinsic; an empty no-inline call is a few cycles of pipeline work the

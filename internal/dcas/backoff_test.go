@@ -1,9 +1,6 @@
 package dcas
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestBackoffNilPolicyIsNoop checks that the disabled form (nil policy,
 // zero cursor) never waits.
@@ -94,70 +91,5 @@ func TestBackoffYieldOnlyPolicy(t *testing.T) {
 	}
 	if bo.cur != p.MinSpins || bo.rng != 0 {
 		t.Fatalf("yield-only cursor moved: cur %d, rng %d", bo.cur, bo.rng)
-	}
-}
-
-// TestSpinLockMutualExclusion hammers one spinlock from many goroutines
-// incrementing an unsynchronized counter; any mutual-exclusion failure
-// loses increments (and trips the race detector).
-func TestSpinLockMutualExclusion(t *testing.T) {
-	const (
-		workers = 8
-		rounds  = 20000
-	)
-	var lk spinLock
-	var counter int
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				lk.Lock()
-				counter++
-				lk.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*rounds {
-		t.Fatalf("counter = %d, want %d", counter, workers*rounds)
-	}
-}
-
-// TestSpinLockTryLock checks the non-blocking acquisition path.
-func TestSpinLockTryLock(t *testing.T) {
-	var lk spinLock
-	if !lk.TryLock() {
-		t.Fatal("TryLock on an unlocked lock failed")
-	}
-	if lk.TryLock() {
-		t.Fatal("TryLock on a held lock succeeded")
-	}
-	lk.Unlock()
-	if !lk.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	lk.Unlock()
-}
-
-// TestAssignIDs checks eager token assignment: idempotent, unique, and
-// consistent with the lazy path.
-func TestAssignIDs(t *testing.T) {
-	var a, b Loc
-	AssignIDs(&a, &b)
-	ida, idb := a.id.Load(), b.id.Load()
-	if ida == 0 || idb == 0 {
-		t.Fatal("AssignIDs left a token unassigned")
-	}
-	if ida == idb {
-		t.Fatalf("duplicate tokens: %d", ida)
-	}
-	AssignIDs(&a, &b) // idempotent
-	if a.id.Load() != ida || b.id.Load() != idb {
-		t.Fatal("AssignIDs reassigned an existing token")
-	}
-	if a.lockID() != ida {
-		t.Fatal("lockID disagrees with assigned token")
 	}
 }

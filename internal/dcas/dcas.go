@@ -6,36 +6,38 @@
 // The paper assumes DCAS is executed atomically "either through hardware
 // support, through a non-blocking software emulation, or via a blocking
 // software emulation".  No shipping hardware provides DCAS, so this package
-// supplies blocking software emulations behind the Provider interface:
+// supplies two blocking software emulations behind the Provider interface:
 //
-//   - TwoLock: the general emulation and Default().  It locks only the two
-//     addressed locations using per-location word-sized TATAS spinlocks
-//     (deadlock-free via a fixed lock order).  Operations on disjoint
-//     location pairs proceed in parallel, which preserves the paper's
-//     central claim that the two deque ends can be accessed concurrently,
-//     and the critical section — two loads and at most two stores — is
-//     short enough that spinning beats parking by a wide margin.  The list
-//     deques, the LFRC deque and the Greenwald baseline run on it.
+//   - GlobalLock: the general emulation and Default().  Every DCAS, and
+//     every Provider.CAS, runs under one sync.Mutex per provider instance,
+//     and each deque gets its own instance.  The list deques, the LFRC
+//     deque, the LFRC pool and the Greenwald baseline run on it.
 //   - EndLock: the anchored in-word emulation specialized to the array
 //     deque's (end index, cell) pairs — three locked read-modify-writes
-//     per DCAS and no lock table.  It is the array deque's default, which
-//     inlines its fast path; it is not a general provider (see the type).
-//   - GlobalLock: a single mutex per provider instance.  All DCAS
-//     operations serialize; used as an ablation baseline.
+//     per DCAS and no lock at all outside the words themselves.  It is the
+//     array deque's default, which inlines its fast path; it is not a
+//     general provider (see the type).
 //
-// The list deques keep TwoLock by measurement: on two cores both a
-// single-word lock table and GlobalLock raised the list workload's p90
-// latency by about 8% (DESIGN.md §6).
+// A Loc is one atomic word.  Reads are plain atomic loads and take no
+// lock; every write after publication goes through a Provider (DCAS,
+// DCASView or CAS), so writes to one location linearize with each other.
 //
-// Single-location reads and writes remain individually atomic (sync/atomic)
-// and are linearizable with respect to DCAS: a DCAS validates both old
-// values and performs both stores while holding the locations' locks, so
-// another DCAS can never observe or interleave with a half-applied DCAS.
-// A plain Load may observe one store of an in-flight DCAS before the other;
-// the deque algorithms tolerate this because every decision derived from
-// plain loads is re-validated by a subsequent DCAS, except for reads the
-// paper itself proves safe from single-location atomicity (e.g. observing
-// the immutable sentinel values).
+// Torn loads.  A plain Load is not ordered against the two stores of an
+// in-flight DCAS X: a reader can see X's store to a1 but not yet its store
+// to a2.  Under GlobalLock no other write lands inside that window, since
+// every DCAS and CAS on the deque's words takes the mutex X holds from its
+// validation to its last store.  A torn view therefore mixes exactly two
+// states, the one before X and the one after, and a decision taken on it
+// commits only through a later DCAS or CAS that re-validates its words
+// once X has finished.  The list deque failure measured under an earlier
+// per-location lock emulation (DESIGN.md §6) needed what this
+// rules out: a DCAS on a pair disjoint from X's committing inside X's
+// window.  That excludes the measured failure; it does not prove every
+// torn view harmless.  The model checker steps a DCAS atomically, and the
+// evidence for the emulation is the multi-core conservation tests.  The
+// two ends of a deque proceed independently in the algorithm (operations
+// on opposite ends touch disjoint words, which the model checker
+// explores), not in this emulation, which serializes them.
 //
 // Both forms of Figure 1 are provided: DCAS (boolean result) and DCASView
 // (returns an atomic view of the two locations whether or not the
@@ -55,113 +57,32 @@ import (
 // Loc corresponds to a memory word L in the paper's machine model
 // (Section 2): Read_i(L), Write_i(L, v) and DCAS_i(L1, L2, ...).
 //
-// Layout: the value word leads so that the hot load path dereferences the
-// Loc's own address; the lock word and ordering token follow.  A Loc is
-// 24 bytes — deliberately unpadded, because aggregates embed many of them
-// (array cells, list nodes) and choose their own spacing; see PaddedLoc
-// for the padded form.
+// Layout: a Loc is exactly its value word, 8 bytes — deliberately
+// unpadded, because aggregates embed many of them (array cells, list
+// nodes) and choose their own spacing; see PaddedLoc for the padded form.
 type Loc struct {
-	v  atomic.Uint64
-	lk spinLock
-	// id is a process-wide unique lock-ordering token; 0 means "not yet
-	// assigned".  Go provides no portable, GC-stable address order, so an
-	// explicit total order over locations is maintained instead.  Deque
-	// constructors assign tokens eagerly with AssignIDs, so on the DCAS
-	// hot path lockID is a single atomic load plus an untaken branch; the
-	// lazy assignment below exists only for zero-value Locs that were
-	// never registered (and runs once per location ever — arena-recycled
-	// nodes keep their token across incarnations).
-	id atomic.Uint64
+	v atomic.Uint64
 }
 
-// locIDs hands out lock-ordering tokens; 0 means "not yet assigned".
-var locIDs atomic.Uint64
-
-// lockID returns the location's ordering token.  The steady-state path is
-// the single load; assignment is pushed out of line.
-func (l *Loc) lockID() uint64 {
-	id := l.id.Load()
-	if id == 0 {
-		id = l.assignID()
-	}
-	return id
-}
-
-// assignID gives the location a token on first use.
-//
-//go:noinline
-func (l *Loc) assignID() uint64 {
-	id := locIDs.Add(1)
-	if l.id.CompareAndSwap(0, id) {
-		return id
-	}
-	return l.id.Load()
-}
-
-// AssignIDs eagerly assigns lock-ordering tokens to the given locations.
-// Constructors call it on every location they create (end counters, array
-// cells, sentinels) so that token assignment — a contended global counter
-// plus a CAS — never runs inside an operation's DCAS.  Idempotent.
-func AssignIDs(locs ...*Loc) {
-	for _, l := range locs {
-		if l.id.Load() == 0 {
-			l.assignID()
-		}
-	}
-}
-
-// ID returns the location's process-wide ordering token, assigning one on
-// first use.  The token doubles as a stable identity for per-location
-// attribution (AttrStats): it survives arena recycling and is never
-// reused, so "location 7" means the same word for a deque's whole life.
-func (l *Loc) ID() uint64 { return l.lockID() }
+// AssignIDs is a no-op.  Locations once carried lock-ordering tokens that
+// constructors registered eagerly; no provider orders locks by location
+// any more, so there is nothing to assign.  It remains so that code
+// written against the earlier API (perfbench/dcas.go) still builds.
+func AssignIDs(...*Loc) {}
 
 // Load atomically reads the location (Read_i(L) in the paper's model).
 func (l *Loc) Load() uint64 { return l.v.Load() }
 
-// Store atomically writes the location (Write_i(L, v) in the paper's
-// model).  It acquires the location's lock so that it linearizes with any
-// in-flight DCAS touching the same location.
-func (l *Loc) Store(v uint64) {
-	l.lk.Lock()
-	l.v.Store(v)
-	l.lk.Unlock()
-}
-
-// Init writes the location without acquiring its lock.  It must only be
-// used before the location is shared (e.g. while constructing a deque or
-// initializing a freshly allocated node that no other thread can reach).
+// Init writes the location.  It must only be used before the location is
+// shared (e.g. while constructing a deque or initializing a freshly
+// allocated node that no other thread can reach); once shared, a location
+// is written only through a Provider.
 func (l *Loc) Init(v uint64) { l.v.Store(v) }
 
-// RawCAS is a single-instruction compare-and-swap of the value word,
-// bypassing the per-location lock.  It is linearizable only against
-// providers that never take the per-location locks — in practice EndLock,
-// whose three-step protocol the array deque inlines at its hot call sites
-// (the call overhead is a measurable fraction of a three-instruction
-// DCAS).  Under any lock-taking provider it would race with a held lock;
-// do not mix.
-func (l *Loc) RawCAS(old, new uint64) bool { return l.v.CompareAndSwap(old, new) }
-
-// RawStore is the raw store matching RawCAS, with the same restriction.
-func (l *Loc) RawStore(v uint64) { l.v.Store(v) }
-
-// CAS atomically compares the location with old and, if equal, stores new.
-// It acquires the location's lock so that it linearizes with DCAS
-// operations on the same location.  (Baselines that never mix CAS with
-// DCAS, such as the ABP deque, use raw sync/atomic instead.)
-func (l *Loc) CAS(old, new uint64) bool {
-	l.lk.Lock()
-	ok := l.v.Load() == old
-	if ok {
-		l.v.Store(new)
-	}
-	l.lk.Unlock()
-	return ok
-}
-
-// Provider supplies the two DCAS forms of Figure 1.  Implementations must
-// guarantee that the comparison and both stores take effect atomically with
-// respect to every other Provider operation and every Loc method.
+// Provider supplies the two DCAS forms of Figure 1 and a single-word CAS
+// that linearizes with them.  Implementations must guarantee that the
+// comparison and both stores take effect atomically with respect to every
+// other operation of the same Provider.
 type Provider interface {
 	// DCAS is the weak form of Figure 1: if *a1 == o1 and *a2 == o2, it
 	// stores n1 and n2 and reports true; otherwise it changes nothing and
@@ -173,77 +94,25 @@ type Provider interface {
 	// returns an atomic view (v1, v2) of the two locations taken at the
 	// linearization point, whether the operation succeeded or failed.
 	DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, ok bool)
+
+	// CAS is the single-location compare-and-swap: if *a == old it stores
+	// new and reports true.  It linearizes with the provider's DCAS on the
+	// same location, which a raw atomic CAS would not under a lock-based
+	// emulation.
+	CAS(a *Loc, old, new uint64) bool
 }
 
-// TwoLock is the general DCAS emulation.  It locks exactly the two
-// addressed locations, so DCAS operations on disjoint pairs of locations
-// run concurrently.  Deadlock between two overlapping DCAS operations is
-// avoided by acquiring the spinlocks in the fixed total order given by
-// each location's ordering token.  Waiters spin with bounded exponential
-// backoff and degrade to scheduler yields, so the lock holder is never
-// starved of CPU even on a single-P schedule.
-//
-// The zero value is ready to use.
-type TwoLock struct{}
-
-// lockPair acquires the locks of both locations in ID order.  On return
-// both locks are held; the caller must release both.
-//
-//dequevet:lockpath-transfers a1.lk a2.lk
-func (p *TwoLock) lockPair(a1, a2 *Loc) {
-	if a1.lockID() > a2.lockID() {
-		a1, a2 = a2, a1
-	}
-	a1.lk.Lock()
-	a2.lk.Lock()
-}
-
-// DCAS implements the weak form of Figure 1.
-func (p *TwoLock) DCAS(a1, a2 *Loc, o1, o2, n1, n2 uint64) bool {
-	if a1 == a2 {
-		panic("dcas: DCAS requires two distinct locations")
-	}
-	p.lockPair(a1, a2)
-	ok := a1.v.Load() == o1 && a2.v.Load() == o2
-	if ok {
-		a1.v.Store(n1)
-		a2.v.Store(n2)
-	}
-	a2.lk.Unlock()
-	a1.lk.Unlock()
-	return ok
-}
-
-// DCASView implements the strong form of Figure 1.
-func (p *TwoLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, ok bool) {
-	if a1 == a2 {
-		panic("dcas: DCASView requires two distinct locations")
-	}
-	p.lockPair(a1, a2)
-	v1 = a1.v.Load()
-	v2 = a2.v.Load()
-	ok = v1 == o1 && v2 == o2
-	if ok {
-		a1.v.Store(n1)
-		a2.v.Store(n2)
-	}
-	a2.lk.Unlock()
-	a1.lk.Unlock()
-	return v1, v2, ok
-}
-
-// GlobalLock is a coarse DCAS emulation: every operation serializes on one
-// mutex.  It is the simplest correct emulation and serves as the ablation
-// baseline for measuring what fine-grained locking buys (experiment B6).
+// GlobalLock is the general DCAS emulation: every DCAS, DCASView and CAS
+// of one instance serializes on one sync.Mutex, so each operation's
+// validation and stores are atomic with respect to every other operation
+// of the instance.  Give each deque its own instance (Default returns a
+// fresh one); deques sharing an instance serialize against each other.
+// The critical section is two loads and at most two stores; the mutex's
+// own spin phase covers the short waits, and it parks a waiter whose
+// holder was preempted instead of spinning behind it.
 //
 // The zero value is ready to use.  A GlobalLock value must not be copied
 // after first use.
-//
-// Note that plain Loc.Store and Loc.CAS acquire per-location locks, not the
-// global mutex; GlobalLock is nevertheless correct for the deque algorithms
-// because they never Store a shared location after construction, but mixed
-// use of Loc.CAS and GlobalLock DCAS on the same location is not
-// linearizable and must be avoided.
 type GlobalLock struct {
 	mu sync.Mutex
 }
@@ -281,13 +150,21 @@ func (p *GlobalLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64
 	return v1, v2, ok
 }
 
-// Default returns the general provider used when a list deque, LFRC
-// deque or baseline is constructed without an explicit choice: a fresh
-// TwoLock.  The array deque defaults to EndLock instead.
-func Default() Provider { return new(TwoLock) }
+// CAS implements the single-location compare-and-swap under the
+// provider's single mutex, so it linearizes with the instance's DCAS.
+func (p *GlobalLock) CAS(a *Loc, old, new uint64) bool {
+	p.mu.Lock()
+	ok := a.v.Load() == old
+	if ok {
+		a.v.Store(new)
+	}
+	p.mu.Unlock()
+	return ok
+}
 
-// Compile-time interface checks.
-var (
-	_ Provider = (*TwoLock)(nil)
-	_ Provider = (*GlobalLock)(nil)
-)
+// Default returns the general provider used when a list deque, LFRC
+// deque, LFRC pool or baseline is constructed without an explicit choice:
+// a fresh GlobalLock.  The array deque defaults to EndLock instead.
+func Default() *GlobalLock { return new(GlobalLock) }
+
+var _ Provider = (*GlobalLock)(nil)

@@ -7,12 +7,24 @@ import (
 	"testing/quick"
 )
 
-// providers returns one fresh instance of every Provider implementation,
-// keyed by name, so each test runs against all emulations (experiment F1).
+// providers returns one fresh instance of every general Provider, keyed
+// by name, so each test runs against the emulation and both instrumented
+// wrappers around it (experiment F1).  EndLock's anchored contract is
+// tested on its own (endlock_test.go).
 func providers() map[string]Provider {
 	return map[string]Provider{
-		"TwoLock":    new(TwoLock),
-		"GlobalLock": new(GlobalLock),
+		"GlobalLock":       new(GlobalLock),
+		"Instrumented":     Instrumented(new(GlobalLock), new(Stats)),
+		"InstrumentedAttr": InstrumentedAttr(new(GlobalLock), new(AttrStats)),
+	}
+}
+
+// TestDefaultIsGlobalLock pins the general default: a fresh GlobalLock per
+// call, so two deques built without a provider never share a mutex.
+func TestDefaultIsGlobalLock(t *testing.T) {
+	a, b := Default(), Default()
+	if a == b {
+		t.Fatal("Default returned the same GlobalLock twice")
 	}
 }
 
@@ -21,27 +33,78 @@ func TestLocZeroValue(t *testing.T) {
 	if got := l.Load(); got != 0 {
 		t.Fatalf("zero Loc holds %d, want 0", got)
 	}
-	l.Store(42)
-	if got := l.Load(); got != 42 {
-		t.Fatalf("after Store(42): %d", got)
-	}
 	l.Init(7)
 	if got := l.Load(); got != 7 {
 		t.Fatalf("after Init(7): %d", got)
 	}
 }
 
+// TestLocCAS checks the single-location CAS every provider supplies,
+// EndLock's raw form included.
 func TestLocCAS(t *testing.T) {
-	var l Loc
-	l.Init(1)
-	if !l.CAS(1, 2) {
-		t.Fatal("CAS(1,2) on value 1 failed")
+	ps := providers()
+	ps["EndLock"] = new(EndLock)
+	for name, p := range ps {
+		t.Run(name, func(t *testing.T) {
+			var l Loc
+			l.Init(1)
+			if !p.CAS(&l, 1, 2) {
+				t.Fatal("CAS(1,2) on value 1 failed")
+			}
+			if p.CAS(&l, 1, 3) {
+				t.Fatal("CAS(1,3) on value 2 succeeded")
+			}
+			if got := l.Load(); got != 2 {
+				t.Fatalf("value %d, want 2", got)
+			}
+		})
 	}
-	if l.CAS(1, 3) {
-		t.Fatal("CAS(1,3) on value 2 succeeded")
-	}
-	if got := l.Load(); got != 2 {
-		t.Fatalf("value %d, want 2", got)
+}
+
+// TestProviderCASLinearizesWithDCAS is the provider contract for mixed
+// use: goroutines increment word a through p.CAS while others increment
+// the pair (a, b) through p.DCAS.  Every successful operation adds one to
+// a, so a lost update — a CAS and a DCAS that both read the same a and
+// both committed — leaves a short of the total.  A raw atomic CAS on a
+// fails this under GlobalLock: it can land between the DCAS's validation
+// and its store to a.
+func TestProviderCASLinearizesWithDCAS(t *testing.T) {
+	for name, p := range providers() {
+		t.Run(name, func(t *testing.T) {
+			const (
+				casWorkers  = 2
+				dcasWorkers = 2
+				incs        = 20000
+			)
+			var a, b Loc
+			var wg sync.WaitGroup
+			for w := 0; w < casWorkers+dcasWorkers; w++ {
+				wg.Add(1)
+				go func(useDCAS bool) {
+					defer wg.Done()
+					for i := 0; i < incs; i++ {
+						for {
+							av := a.Load()
+							if useDCAS {
+								bv := b.Load()
+								if p.DCAS(&a, &b, av, bv, av+1, bv+1) {
+									break
+								}
+							} else if p.CAS(&a, av, av+1) {
+								break
+							}
+						}
+					}
+				}(w >= casWorkers)
+			}
+			wg.Wait()
+			if got, want := a.Load(), uint64((casWorkers+dcasWorkers)*incs); got != want {
+				t.Fatalf("a = %d after %d increments: CAS and DCAS lost updates", got, want)
+			}
+			if got, want := b.Load(), uint64(dcasWorkers*incs); got != want {
+				t.Fatalf("b = %d, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -294,7 +357,7 @@ func TestDCASEquivalentForms(t *testing.T) {
 
 func TestInstrumentedCounts(t *testing.T) {
 	var st Stats
-	p := Instrumented(new(TwoLock), &st)
+	p := Instrumented(new(GlobalLock), &st)
 	var a, b Loc
 	a.Init(1)
 	b.Init(2)
@@ -316,42 +379,5 @@ func TestInstrumentedCounts(t *testing.T) {
 	st.Reset()
 	if st.Attempts.Load() != 0 || st.Failures.Load() != 0 {
 		t.Fatal("Reset did not zero counters")
-	}
-}
-
-// TestStoreLinearizesWithDCAS checks that Loc.Store acquires the location
-// lock: a storm of Stores racing with DCAS transfers must never let a DCAS
-// half-apply around the store.
-func TestStoreLinearizesWithDCAS(t *testing.T) {
-	p := new(TwoLock)
-	var a, b Loc
-	a.Init(0)
-	b.Init(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Keep a ≡ b invariant via DCAS.
-			av, bv := a.Load(), b.Load()
-			if av == bv {
-				p.DCAS(&a, &b, av, bv, av+1, bv+1)
-			}
-		}
-	}()
-	for i := 0; i < 5000; i++ {
-		av := a.Load()
-		_ = av
-	}
-	close(stop)
-	wg.Wait()
-	if a.Load() != b.Load() {
-		t.Fatalf("invariant a==b broken: a=%d b=%d", a.Load(), b.Load())
 	}
 }

@@ -3,7 +3,7 @@ package dcas
 // EndLock is the cheapest DCAS emulation in this package, specialized to
 // the access pattern of the array deque: every DCAS pairs an always-first
 // "anchor" location (an end index) with a second location (a cell).  It
-// exploits two structural facts the general emulations cannot assume:
+// exploits two structural facts the general emulation cannot assume:
 //
 //   - anchor values are small (array indices), so the word's top bit is
 //     free to serve as an in-word lock mark;
@@ -21,8 +21,8 @@ package dcas
 //	a2 mismatch:        CAS(a1) + CAS(a2) + Store(a1)   3 locked RMWs
 //	a1 mismatch:        CAS(a1)                         1 locked RMW
 //
-// against four for GlobalLock and six for TwoLock — and
-// the common failure mode of a contended retry loop, "the end moved under
+// against a mutex acquire and release for GlobalLock — and the common
+// failure mode of a contended retry loop, "the end moved under
 // me", is detected by the very CAS that would have locked it.  Because
 // each anchor is its own lock, operations on the two deque ends share no
 // lock state whatsoever, not even a shared lock-table word.
@@ -39,11 +39,12 @@ package dcas
 //
 // Contract (checked where cheap, otherwise documented): o1 and n1 must
 // not use EndLockBit; a1 must be written only through this provider's
-// DCAS after publication; a location used as a1 must never appear as a2
+// DCAS (or its inlined TryMark/Unmark form) after publication; a location
+// used as a1 must never appear as a2
 // of a concurrent pair.  The array deque satisfies all three — ends are
 // indices in [0, n), are mutated only by DCAS, and are never a pair's
 // second location.  The list deques do not (their link words appear on
-// both sides of pairs), so they keep TwoLock.
+// both sides of pairs), so they run on GlobalLock.
 //
 // The strong form's failure view is atomic exactly when v1 == o1 — the
 // case where the view was taken under the anchor's mark.  When v1 != o1
@@ -95,6 +96,20 @@ func (p *EndLock) markSlow(a1 *Loc, o1 uint64) (uint64, bool) {
 	}
 }
 
+// TryMark and Unmark are the fast path of mark and of the commit store,
+// for callers that inline the protocol at a hot call site: the array
+// deque runs TryMark(a1, o1), CAS(a2, o2, n2) and Unmark(a1, n1 or o1),
+// whose call overhead would otherwise be a measurable fraction of a
+// three-instruction DCAS, and falls back to DCASView when TryMark fails.
+// TryMark pins a1 at o1 and reports true, or changes nothing.
+func (p *EndLock) TryMark(a1 *Loc, o1 uint64) bool {
+	return a1.v.CompareAndSwap(o1, o1|EndLockBit)
+}
+
+// Unmark stores v to a marked a1, which commits (v = n1) or restores
+// (v = o1) the anchor and releases the mark.
+func (p *EndLock) Unmark(a1 *Loc, v uint64) { a1.v.Store(v) }
+
 // DCAS implements the weak form of Figure 1 for anchored pairs.
 func (p *EndLock) DCAS(a1, a2 *Loc, o1, o2, n1, n2 uint64) bool {
 	if a1 == a2 {
@@ -135,5 +150,11 @@ func (p *EndLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, o
 	a1.v.Store(o1)
 	return o1, v2, false
 }
+
+// CAS is a raw compare-and-swap, valid only on second locations (cells):
+// DCAS arbitrates a second location with a single CAS as well, so the two
+// linearize.  Anchors stay written only through DCAS (see the contract
+// above).
+func (p *EndLock) CAS(a *Loc, old, new uint64) bool { return a.v.CompareAndSwap(old, new) }
 
 var _ Provider = (*EndLock)(nil)

@@ -10,16 +10,16 @@ import (
 // (reordering fields, widening a type) could silently destroy.  These
 // tests pin it.
 
-// TestLocLayout pins the Loc geometry: the value word leads (the hot load
-// path dereferences the Loc's own address), and the struct stays compact
-// because aggregates embed many Locs and pad at their own level.
+// TestLocLayout pins the Loc geometry: a Loc is exactly its value word,
+// because aggregates embed many Locs and pad at their own level, and no
+// provider keeps per-location state.
 func TestLocLayout(t *testing.T) {
 	var l Loc
 	if off := unsafe.Offsetof(l.v); off != 0 {
 		t.Fatalf("Loc.v at offset %d, want 0 (value word must lead)", off)
 	}
-	if sz := unsafe.Sizeof(l); sz > 32 {
-		t.Fatalf("Loc is %d bytes; it must stay compact (≤ 32) — pad with PaddedLoc, not inside Loc", sz)
+	if sz := unsafe.Sizeof(l); sz != 8 {
+		t.Fatalf("Loc is %d bytes, want 8 — pad with PaddedLoc, not inside Loc", sz)
 	}
 }
 

@@ -65,7 +65,8 @@ func (s *Stats) Reset() {
 }
 
 // Instrumented wraps a Provider so that every DCAS is counted in st.
-// The wrapped provider is otherwise semantically identical.
+// The wrapped provider is otherwise semantically identical; CAS passes
+// through uncounted.
 func Instrumented(p Provider, st *Stats) Provider {
 	return &instrumented{p: p, st: st}
 }
@@ -92,3 +93,5 @@ func (i *instrumented) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (uint64, uin
 	}
 	return v1, v2, ok
 }
+
+func (i *instrumented) CAS(a *Loc, old, new uint64) bool { return i.p.CAS(a, old, new) }

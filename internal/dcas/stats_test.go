@@ -68,7 +68,7 @@ func TestAttrStats(t *testing.T) {
 	a.Init(1)
 	b.Init(2)
 	var st AttrStats
-	p := InstrumentedAttr(&TwoLock{}, &st)
+	p := InstrumentedAttr(&GlobalLock{}, &st)
 
 	if !p.DCAS(&a, &b, 1, 2, 10, 20) {
 		t.Fatal("matching DCAS failed")
@@ -89,12 +89,12 @@ func TestAttrStats(t *testing.T) {
 	}
 	ids := map[uint64]LocStats{per[0].ID: per[0], per[1].ID: per[1]}
 	for _, l := range []*Loc{&a, &b} {
-		got, ok := ids[l.ID()]
+		got, ok := ids[locKey(l)]
 		if !ok {
-			t.Fatalf("location %d missing from %+v", l.ID(), per)
+			t.Fatalf("location %d missing from %+v", locKey(l), per)
 		}
 		if got.Attempts != 3 || got.Failures != 1 {
-			t.Fatalf("location %d = %d/%d, want 3/1", l.ID(), got.Attempts, got.Failures)
+			t.Fatalf("location %d = %d/%d, want 3/1", locKey(l), got.Attempts, got.Failures)
 		}
 	}
 	if per[0].ID >= per[1].ID {
@@ -116,7 +116,7 @@ func TestAttrStats(t *testing.T) {
 // into the overflow bucket without losing counts.
 func TestAttrStatsOverflow(t *testing.T) {
 	var st AttrStats
-	p := InstrumentedAttr(&TwoLock{}, &st)
+	p := InstrumentedAttr(&GlobalLock{}, &st)
 	const locs = attrSlots + 16
 	pairs := make([]Loc, 2*locs)
 	total := uint64(0)
@@ -156,7 +156,7 @@ func TestAttrStatsConcurrent(t *testing.T) {
 	a.Init(1)
 	b.Init(1)
 	var st AttrStats
-	p := InstrumentedAttr(&TwoLock{}, &st)
+	p := InstrumentedAttr(&GlobalLock{}, &st)
 	const workers = 8
 	const per = 2000
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func TestPerLocationClampsResetRace(t *testing.T) {
 	var a, b Loc
 	a.Init(1)
 	b.Init(1)
-	p := InstrumentedAttr(&TwoLock{}, &st)
+	p := InstrumentedAttr(&GlobalLock{}, &st)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -23,7 +23,10 @@
 // The rest of the operation set follows the paper: AddRef (a thread that
 // already owns a counted reference may increment without DCAS), Release
 // (decrement; on zero, release the object's outgoing references and free
-// it), and CAS (replace a shared reference, transferring counts).
+// it), and CAS (replace a shared reference, transferring counts).  Every
+// write to a shared count or reference goes through the pool's Provider
+// (its DCAS or its CAS), because under a lock-based emulation a raw atomic
+// CAS on a count could land inside an LFRCLoad's DCAS and be lost.
 //
 // A reference count here covers both shared-memory references and live
 // local references, exactly as in [12].  Objects live in the same
@@ -164,7 +167,7 @@ func (p *Pool[T]) AddRef(r Ref) {
 		if rc == 0 {
 			panic("lfrc: AddRef on dead object")
 		}
-		if obj.rc.CAS(rc, rc+1) {
+		if p.prov.CAS(&obj.rc, rc, rc+1) {
 			p.refInc()
 			return
 		}
@@ -190,7 +193,7 @@ func (p *Pool[T]) Release(r Ref) {
 			if rc == 0 {
 				panic("lfrc: Release on dead object")
 			}
-			if !obj.rc.CAS(rc, rc-1) {
+			if !p.prov.CAS(&obj.rc, rc, rc-1) {
 				continue
 			}
 			p.refDec()
@@ -250,7 +253,7 @@ func (p *Pool[T]) Store(loc *dcas.Loc, r Ref) {
 	p.AddRef(r)
 	for {
 		old := loc.Load()
-		if loc.CAS(old, r) {
+		if p.prov.CAS(loc, old, r) {
 			if old != Nil {
 				p.Release(old)
 			}
@@ -265,7 +268,7 @@ func (p *Pool[T]) Store(loc *dcas.Loc, r Ref) {
 // to both old and new (its own references are not consumed).
 func (p *Pool[T]) CAS(loc *dcas.Loc, old, new Ref) bool {
 	p.AddRef(new) // anticipate the location's reference
-	if loc.CAS(old, new) {
+	if p.prov.CAS(loc, old, new) {
 		if old != Nil {
 			p.Release(old) // the location dropped its reference to old
 		}

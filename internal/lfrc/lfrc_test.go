@@ -233,7 +233,7 @@ func TestStackConcurrent(t *testing.T) {
 		workers = 6
 		perG    = 3000
 	)
-	s := NewStack(workers*perG+workers, new(dcas.TwoLock))
+	s := NewStack(workers*perG+workers, new(dcas.GlobalLock))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	seen := make(map[uint64]int)

@@ -415,6 +415,13 @@ func (s *listSys) Step(i int, absEmpty bool) (string, *Lin) {
 			t.pc = lpcDelReadSent
 			return fmt.Sprintf("%s: other sent not deleted, retry", del), nil
 		}
+		// Neighbour check: the other sentinel's deleted node must be the
+		// null neighbour read at line 5, or the join would skip the live
+		// nodes pushed since (package listdeque's documentation).
+		if widx(t.dOtherW) != widx(t.dNbrW) {
+			t.pc = lpcDelReadSent
+			return fmt.Sprintf("%s: other sent deleted elsewhere, retry", del), nil
+		}
 		t.pc = lpcDelTwoNullDCAS
 		return fmt.Sprintf("%s: other sent deleted too", del), nil
 

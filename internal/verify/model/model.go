@@ -28,7 +28,8 @@
 // State spaces are bounded (few threads, few operations, small deques) but
 // coverage within the bound is exhaustive, including every adversarial
 // schedule such as the Figure 6 steal and the Figure 16 two-sided delete
-// contention.
+// contention.  Seeded random walks (RandomWalk, Replay) check the same
+// obligations along single schedules of systems too large to enumerate.
 package model
 
 import (
@@ -215,29 +216,11 @@ func Explore(init Sys, opts Options) (*Report, *Violation) {
 			}
 			anyRunnable = true
 			ns := f.sys.Clone()
-			label, lin := ns.Step(i, len(abs0) == 0)
-			rep.Transitions++
-			rep.Events[label]++
+			label, _, msg := checkedStep(ns, i, abs0, rep)
 			trace := append(append([]string(nil), f.trace...),
 				fmt.Sprintf("T%d: %s", i, label))
-
-			abs1, err := ns.Abstract()
-			if err != nil {
-				return rep, &Violation{Msg: fmt.Sprintf("RepInv violated after step: %v", err), Trace: trace}
-			}
-
-			if lin == nil {
-				if !equalSeq(abs0, abs1) {
-					return rep, &Violation{
-						Msg:   fmt.Sprintf("abstraction changed at non-linearization step: %v -> %v", abs0, abs1),
-						Trace: trace,
-					}
-				}
-			} else {
-				rep.Linearized++
-				if v := checkLin(lin, abs0, abs1, f.sys.Capacity(), trace); v != nil {
-					return rep, v
-				}
+			if msg != "" {
+				return rep, &Violation{Msg: msg, Trace: trace}
 			}
 
 			k := ns.Key()
@@ -257,30 +240,51 @@ func Explore(init Sys, opts Options) (*Report, *Violation) {
 	return rep, nil
 }
 
+// checkedStep advances s in place by one step of thread i, from a state
+// whose abstraction is abs0, and checks the per-step obligations: the
+// representation invariant holds after the step, the abstraction changes
+// only at a linearization point, and each linearization is a correct
+// sequential transition.  It returns the step's label, the new
+// abstraction, and a failure message ("" when every obligation holds).
+func checkedStep(s Sys, i int, abs0 []uint64, rep *Report) (label string, abs1 []uint64, msg string) {
+	label, lin := s.Step(i, len(abs0) == 0)
+	rep.Transitions++
+	rep.Events[label]++
+	abs1, err := s.Abstract()
+	if err != nil {
+		return label, nil, fmt.Sprintf("RepInv violated after step: %v", err)
+	}
+	if lin == nil {
+		if !equalSeq(abs0, abs1) {
+			return label, abs1, fmt.Sprintf("abstraction changed at non-linearization step: %v -> %v", abs0, abs1)
+		}
+		return label, abs1, ""
+	}
+	rep.Linearized++
+	return label, abs1, checkLin(lin, abs0, abs1, s.Capacity())
+}
+
 // checkLin verifies that a linearization corresponds to a correct
 // sequential transition of the abstract deque (the ProperTransition
 // obligations).
-func checkLin(lin *Lin, abs0, abs1 []uint64, capacity int, trace []string) *Violation {
+func checkLin(lin *Lin, abs0, abs1 []uint64, capacity int) string {
 	if lin.Retro {
 		// Linearized at the earlier sentinel read; the obligation is that
 		// the deque was empty there, and that this step changed nothing.
 		if !lin.RetroOK {
-			return &Violation{
-				Msg:   fmt.Sprintf("T%d %v returned empty but abstraction was non-empty at its linearization read", lin.Thread, lin.Op),
-				Trace: trace,
-			}
+			return fmt.Sprintf("T%d %v returned empty but abstraction was non-empty at its linearization read", lin.Thread, lin.Op)
 		}
 		if lin.Res != spec.Empty {
-			return &Violation{Msg: "retro linearization with non-empty result", Trace: trace}
+			return "retro linearization with non-empty result"
 		}
 		if !equalSeq(abs0, abs1) {
-			return &Violation{Msg: "retro-linearized step changed the abstraction", Trace: trace}
+			return "retro-linearized step changed the abstraction"
 		}
-		return nil
+		return ""
 	}
 	ref := spec.FromSlice(abs0, capacity)
 	if lin.Op.Kind == PopLeftBatch {
-		return checkBatchLin(lin, ref, abs0, abs1, trace)
+		return checkBatchLin(lin, ref, abs0, abs1)
 	}
 	var wantVal uint64
 	var wantRes spec.Result
@@ -295,65 +299,47 @@ func checkLin(lin *Lin, abs0, abs1 []uint64, capacity int, trace []string) *Viol
 		wantVal, wantRes = ref.PopRight()
 	}
 	if lin.Res != wantRes {
-		return &Violation{
-			Msg: fmt.Sprintf("T%d %v linearized with result %v; sequential spec on %v gives %v",
-				lin.Thread, lin.Op, lin.Res, abs0, wantRes),
-			Trace: trace,
-		}
+		return fmt.Sprintf("T%d %v linearized with result %v; sequential spec on %v gives %v",
+			lin.Thread, lin.Op, lin.Res, abs0, wantRes)
 	}
 	if lin.Res == spec.Okay && (lin.Op.Kind == PopLeft || lin.Op.Kind == PopRight) && lin.Val != wantVal {
-		return &Violation{
-			Msg: fmt.Sprintf("T%d %v returned %d; sequential spec on %v gives %d",
-				lin.Thread, lin.Op, lin.Val, abs0, wantVal),
-			Trace: trace,
-		}
+		return fmt.Sprintf("T%d %v returned %d; sequential spec on %v gives %d",
+			lin.Thread, lin.Op, lin.Val, abs0, wantVal)
 	}
 	if !equalSeq(ref.Items(), abs1) {
-		return &Violation{
-			Msg: fmt.Sprintf("T%d %v: post-state abstraction %v, sequential spec gives %v",
-				lin.Thread, lin.Op, abs1, ref.Items()),
-			Trace: trace,
-		}
+		return fmt.Sprintf("T%d %v: post-state abstraction %v, sequential spec gives %v",
+			lin.Thread, lin.Op, abs1, ref.Items())
 	}
-	return nil
+	return ""
 }
 
 // checkBatchLin verifies a PopLeftBatch linearization: an Empty result
 // claims nothing, an Okay result claims Multi — checked as that many
 // consecutive sequential popLefts all taking effect at the one commit.
-func checkBatchLin(lin *Lin, ref *spec.Deque, abs0, abs1 []uint64, trace []string) *Violation {
+func checkBatchLin(lin *Lin, ref *spec.Deque, abs0, abs1 []uint64) string {
 	if lin.Res == spec.Empty {
 		if len(lin.Multi) != 0 {
-			return &Violation{Msg: "empty batch steal carries values", Trace: trace}
+			return "empty batch steal carries values"
 		}
 		if len(abs0) != 0 {
-			return &Violation{
-				Msg:   fmt.Sprintf("T%d %v returned empty but abstraction was %v", lin.Thread, lin.Op, abs0),
-				Trace: trace,
-			}
+			return fmt.Sprintf("T%d %v returned empty but abstraction was %v", lin.Thread, lin.Op, abs0)
 		}
 	}
 	if lin.Res == spec.Okay && len(lin.Multi) == 0 {
-		return &Violation{Msg: "successful batch steal claims no values", Trace: trace}
+		return "successful batch steal claims no values"
 	}
 	for j, want := range lin.Multi {
 		v, r := ref.PopLeft()
 		if r != spec.Okay || v != want {
-			return &Violation{
-				Msg: fmt.Sprintf("T%d %v claimed %v; sequential spec on %v gives (%d,%v) at position %d, want %d",
-					lin.Thread, lin.Op, lin.Multi, abs0, v, r, j, want),
-				Trace: trace,
-			}
+			return fmt.Sprintf("T%d %v claimed %v; sequential spec on %v gives (%d,%v) at position %d, want %d",
+				lin.Thread, lin.Op, lin.Multi, abs0, v, r, j, want)
 		}
 	}
 	if !equalSeq(ref.Items(), abs1) {
-		return &Violation{
-			Msg: fmt.Sprintf("T%d %v: post-state abstraction %v, sequential spec gives %v",
-				lin.Thread, lin.Op, abs1, ref.Items()),
-			Trace: trace,
-		}
+		return fmt.Sprintf("T%d %v: post-state abstraction %v, sequential spec gives %v",
+			lin.Thread, lin.Op, abs1, ref.Items())
 	}
-	return nil
+	return ""
 }
 
 // checkSolo verifies the non-blocking property operationally: every

@@ -15,13 +15,12 @@ import (
 // (Theorem 3.1) across option combinations.
 func TestArrayDequeLinearizable(t *testing.T) {
 	cases := map[string][]arraydeque.Option{
-		"strong":          nil,
-		"weak":            {arraydeque.WithStrongDCAS(false)},
-		"weak-norecheck":  {arraydeque.WithStrongDCAS(false), arraydeque.WithRecheckIndex(false)},
-		"global-provider": {arraydeque.WithProvider(new(dcas.GlobalLock))},
+		"strong":         nil,
+		"weak":           {arraydeque.WithStrongDCAS(false)},
+		"weak-norecheck": {arraydeque.WithStrongDCAS(false), arraydeque.WithRecheckIndex(false)},
 		// The default is the inlined EndLock path; this case keeps the
 		// generic Provider path linearizability-checked too.
-		"twolock-provider": {arraydeque.WithProvider(new(dcas.TwoLock))},
+		"global-provider": {arraydeque.WithProvider(new(dcas.GlobalLock))},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
